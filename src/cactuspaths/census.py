@@ -244,8 +244,7 @@ def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ..
     if k < 0 or 2 * k + 1 > n:
         raise ValueError(f"no cacti with n={n} and k={k}")
     limit = DEFAULT_CENSUS_GUARD if guard is None else guard
-    budget = [limit]
-    result = _cacti(n, k, budget)
+    result = _cacti(n, k, limit)
     if len(result) > limit:
         raise CensusSizeError(
             f"census for n={n}, k={k} has {len(result)} classes, over the guard {limit}"
@@ -253,7 +252,9 @@ def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ..
     return result
 
 
-def _cacti(n: int, k: int, budget: list[int]) -> tuple[Graph, ...]:
+def _cacti(n: int, k: int, limit: int | None = None) -> tuple[Graph, ...]:
+    """The (n, k) census; limit bounds its own classes only, so whether it
+    raises does not depend on which smaller censuses are cached."""
     if k < 0 or n < 1 or 2 * k + 1 > n:
         return ()
     key = (n, k)
@@ -268,18 +269,17 @@ def _cacti(n: int, k: int, budget: list[int]) -> tuple[Graph, ...]:
             ck = canonical_key(g)
             if ck not in seen:
                 seen[ck] = g
-                budget[0] -= 1
-                if budget[0] < 0:
+                if limit is not None and len(seen) > limit:
                     raise CensusSizeError(
                         "census guard exceeded; raise the guard to continue"
                     )
 
-        for h in _cacti(n - 1, k, budget):
+        for h in _cacti(n - 1, k):
             for v in range(h.n):
                 record(Graph(n, h.edges | {(v, n - 1)}))
         for length in range(3, n + 1):
             parent_n = n - (length - 1)
-            for h in _cacti(parent_n, k - 1, budget):
+            for h in _cacti(parent_n, k - 1):
                 for v in range(h.n):
                     ring = [v] + list(range(h.n, h.n + length - 1))
                     edges = set(h.edges)

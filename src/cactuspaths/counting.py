@@ -4,15 +4,14 @@ The subpath number of a graph is the number of its simple paths, counting
 the n trivial single-vertex paths and counting every nontrivial path once
 per unordered endpoint pair.  count_paths / count_paths_between enumerate
 paths directly and serve as the oracle for everything else; the cactus
-counters use the block-cut tree and the 2^c pair rule instead.
+counters use the 2^c pair rule on the rooted block-cut tree instead, and
+cactus_path_count needs O(n) integer operations.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-
-from .graphs import CYCLE, CactusProfile, Graph
+from .graphs import CactusProfile, Graph
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "CACTUSPATHS_BUDGET"
@@ -95,43 +94,7 @@ def count_paths_between(g: Graph, x: int, y: int, budget: int | None = None) -> 
     return total
 
 
-@dataclass(frozen=True)
-class PairCycleCount:
-    """Number of cycle blocks on the block-tree route between two vertices."""
-
-    x: int
-    y: int
-    c: int
-
-
-# Block-cut tree nodes, for routing purposes: ("cut", vertex) or ("block", i).
-_BctNode = tuple[str, int]
-
-
-def _bct_adjacency(profile: CactusProfile) -> dict[_BctNode, list[_BctNode]]:
-    adj: dict[_BctNode, list[_BctNode]] = {}
-    for i in range(len(profile.tree.blocks)):
-        adj[("block", i)] = []
-    for v in profile.tree.cut_vertices:
-        adj[("cut", v)] = []
-    for i, cuts in enumerate(profile.tree.incidence):
-        for v in cuts:
-            adj[("block", i)].append(("cut", v))
-            adj[("cut", v)].append(("block", i))
-    return adj
-
-
-def _locate(profile: CactusProfile, v: int) -> _BctNode:
-    if v in profile.tree.cut_vertices:
-        return ("cut", v)
-    return ("block", profile.tree.block_of_vertex[v])
-
-
-def _is_cycle_node(profile: CactusProfile, node: _BctNode) -> bool:
-    return node[0] == "block" and profile.tree.blocks[node[1]].kind == CYCLE
-
-
-def cycles_on_route(profile: CactusProfile, x: int, y: int) -> PairCycleCount:
+def cycles_on_route(profile: CactusProfile, x: int, y: int) -> int:
     """Count the cycle blocks on the block-tree path between x and y.
 
     A cut-vertex endpoint contributes no block of its own, so only cycles
@@ -139,71 +102,47 @@ def cycles_on_route(profile: CactusProfile, x: int, y: int) -> PairCycleCount:
     """
     if x == y:
         raise ValueError("endpoints must be distinct")
-    g = profile.graph
-    if not (0 <= x < g.n and 0 <= y < g.n):
+    if not (0 <= x < profile.graph.n and 0 <= y < profile.graph.n):
         raise ValueError("vertex out of range")
-    src = _locate(profile, x)
-    dst = _locate(profile, y)
-    if src == dst:
-        return PairCycleCount(x, y, 1 if _is_cycle_node(profile, src) else 0)
-    adj = _bct_adjacency(profile)
-    # BFS from src, tracking the cycle-block count along the unique path.
-    count = {src: 1 if _is_cycle_node(profile, src) else 0}
-    queue = [src]
-    while queue:
-        nxt = []
-        for node in queue:
-            for other in adj[node]:
-                if other not in count:
-                    count[other] = count[node] + (
-                        1 if _is_cycle_node(profile, other) else 0
-                    )
-                    nxt.append(other)
-        queue = nxt
-    return PairCycleCount(x, y, count[dst])
+    tree = profile.tree.rooted
+    a, b = tree.node[x], tree.node[y]
+    cycles = 0
+    while a != b:  # climb from the deeper end until the routes meet
+        if tree.depth[a] < tree.depth[b]:
+            a, b = b, a
+        cycles += tree.weight[a] == 2
+        a = tree.parent[a]
+    return cycles + (tree.weight[a] == 2)
 
 
 def cactus_count_between(profile: CactusProfile, x: int, y: int) -> int:
     """Number of simple x-y paths in a cactus: 2^c with c cycles en route."""
-    return 1 << cycles_on_route(profile, x, y).c
+    return 1 << cycles_on_route(profile, x, y)
 
 
 def cactus_path_count(profile: CactusProfile) -> int:
     """Subpath number of a cactus: n + sum over unordered pairs of 2^c.
 
-    Vertices are grouped by their block-cut-tree location and one BFS per
-    location aggregates all pairs, so the whole sum is O(n^2).
+    One bottom-up pass over the rooted block-cut tree.  A[x] sums, over the
+    vertices v below x, the product of the weights from node[v] up to x:
+    A[x] = w_x * (occ_x + sum of A over the children of x).  The pairs whose
+    routes meet at x contribute w_x times the sum of products of distinct
+    terms of occ_x, A[child], ..., taken with a running sum.
     """
     g = profile.graph
     if g.n <= 1:
         return g.n
-    adj = _bct_adjacency(profile)
-    occupants: dict[_BctNode, int] = {}
-    for v in range(g.n):
-        node = _locate(profile, v)
-        occupants[node] = occupants.get(node, 0) + 1
-    nodes = sorted(occupants)
-    index = {node: i for i, node in enumerate(nodes)}
+    tree = profile.tree.rooted
+    below = list(tree.occupants)  # occ_x + sum of A[child], filled bottom-up
+    pairs = [c * (c - 1) // 2 for c in tree.occupants]
     total = g.n
-    for node in nodes:
-        cnt = occupants[node]
-        here_cyc = 1 if _is_cycle_node(profile, node) else 0
-        if cnt >= 2:
-            total += (cnt * (cnt - 1) // 2) << here_cyc
-        # pairs with occupants of strictly later locations
-        count = {node: here_cyc}
-        queue = [node]
-        while queue:
-            nxt = []
-            for cur in queue:
-                for other in adj[cur]:
-                    if other not in count:
-                        count[other] = count[cur] + (
-                            1 if _is_cycle_node(profile, other) else 0
-                        )
-                        nxt.append(other)
-            queue = nxt
-        for other, c in count.items():
-            if other in occupants and index[other] > index[node]:
-                total += (cnt * occupants[other]) << c
+    for x in reversed(tree.order):
+        w = tree.weight[x]
+        total += w * pairs[x]
+        p = tree.parent[x]
+        if p >= 0:
+            a = w * below[x]
+            pairs[p] += below[p] * a
+            below[p] += a
+        below[x] = pairs[x] = 0  # x is done: free its big integers
     return total

@@ -46,7 +46,12 @@ class ExtremalReport:
     max_value: int
     argmin: tuple[ArgEntry, ...]
     argmax: tuple[ArgEntry, ...]
-    census_size: int
+    census: tuple[Graph, ...]  # canonical-key order
+    values: tuple[int, ...]  # values[i] is the invariant of census[i]
+
+    @property
+    def census_size(self) -> int:
+        return len(self.census)
 
     @property
     def argmin_keys(self) -> frozenset[bytes]:
@@ -85,17 +90,15 @@ def extremal_sweep(
     argmax = tuple(
         ArgEntry(canonical_key(g), g) for g, v in zip(census, values) if v == hi
     )
-    return ExtremalReport(n, k, invariant, lo, hi, argmin, argmax, len(census))
+    return ExtremalReport(n, k, invariant, lo, hi, argmin, argmax, census, tuple(values))
 
 
 def sweep_rows(report: ExtremalReport) -> list[dict[str, str]]:
     """CSV rows for one sweep: every census class with its value and
     argmin/argmax membership."""
-    census = enumerate_cacti(report.n, report.k)
     rows = []
-    for g in census:
+    for g, value in zip(report.census, report.values):
         key = canonical_key(g)
-        value = _value(report.invariant, g)
         rows.append(
             {
                 "canonical_key": key.hex(),

@@ -173,23 +173,8 @@ def to_edge_list_text(g: Graph) -> str:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (K_1 is connected)."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    stack = [0]
-    masks = g.adjacency_masks
-    count = 1
-    while stack:
-        v = stack.pop()
-        fresh = masks[v] & ~seen
-        while fresh:
-            bit = fresh & -fresh
-            fresh ^= bit
-            seen |= bit
-            count += 1
-            stack.append(bit.bit_length() - 1)
-    return count == g.n
+    """True iff g has at most one component (K_1 and the empty graph are connected)."""
+    return len(connected_components(g)) <= 1
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
@@ -213,42 +198,9 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 
 
 def find_bridges(g: Graph) -> list[tuple[int, int]]:
-    """All edges whose removal disconnects g, in lexicographic order.
-
-    Single depth-first traversal with low-link values.
-    """
-    if not is_connected(g):
-        raise DisconnectedError("find_bridges requires a connected graph")
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    bridges: list[tuple[int, int]] = []
-    if n == 0:
-        return bridges
-    timer = 0
-    # Iterative DFS; parent edge tracked to skip the tree edge back-step.
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]  # (vertex, parent, next-neighbor index)
-    adj = g.adjacency
-    while stack:
-        v, parent, idx = stack.pop()
-        if idx == 0:
-            disc[v] = low[v] = timer
-            timer += 1
-        if idx < len(adj[v]):
-            stack.append((v, parent, idx + 1))
-            u = adj[v][idx]
-            if u == parent:
-                continue
-            if disc[u] == -1:
-                stack.append((u, v, 0))
-            else:
-                low[v] = min(low[v], disc[u])
-        else:
-            if parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if low[v] > disc[parent]:
-                    bridges.append(_normalize_edge(parent, v))
-    return sorted(bridges)
+    """All edges whose removal disconnects g, in lexicographic order: the
+    single-edge blocks of the block-cut tree."""
+    return sorted(b.edges[0] for b in block_cut_tree(g).blocks if b.kind == BRIDGE)
 
 
 BRIDGE = "bridge"
@@ -317,14 +269,59 @@ class BlockCutTree:
         return {v: tuple(ids) for v, ids in at.items()}
 
     @cached_property
-    def block_of_vertex(self) -> dict[int, int]:
-        """For each non-cut vertex, the index of its unique block."""
-        home: dict[int, int] = {}
-        for i, blk in enumerate(self.blocks):
-            for v in blk.vertices:
-                if v not in self.cut_vertices:
-                    home[v] = i
-        return home
+    def rooted(self) -> "RootedBlockCutTree":
+        """The tree with integer node ids, rooted at block 0."""
+        nblocks = len(self.blocks)
+        cuts = sorted(self.cut_vertices)
+        cut_id = {v: nblocks + j for j, v in enumerate(cuts)}
+        size = nblocks + len(cuts)
+        parent = [-1] * size
+        depth = [0] * size
+        order = [0] if size else []
+        for x in order:  # grows while it is read: a breadth-first walk
+            if x < nblocks:
+                nbrs = [cut_id[v] for v in self.incidence[x]]
+            else:
+                nbrs = self.blocks_of_cut_vertex[cuts[x - nblocks]]
+            for y in nbrs:
+                if y != parent[x]:
+                    parent[y] = x
+                    depth[y] = depth[x] + 1
+                    order.append(y)
+        occupants = [len(b) - len(c) for b, c in zip(self.blocks, self.incidence)]
+        occupants += [1] * len(cuts)
+        node = [0] * sum(occupants)  # every vertex occupies exactly one node
+        for i, b in enumerate(self.blocks):
+            for v in b.vertices:
+                node[v] = cut_id.get(v, i)
+        return RootedBlockCutTree(
+            parent=tuple(parent),
+            order=tuple(order),
+            depth=tuple(depth),
+            weight=tuple(2 if b.kind == CYCLE else 1 for b in self.blocks)
+            + (1,) * len(cuts),
+            occupants=tuple(occupants),
+            node=tuple(node),
+        )
+
+
+@dataclass(frozen=True)
+class RootedBlockCutTree:
+    """A block-cut tree with integer node ids, rooted at block 0.
+
+    Nodes 0..B-1 are the blocks in BlockCutTree order, then come the cut
+    vertices in increasing order.  A vertex lives at node[v]: its own cut
+    node if it is a cut vertex, else its unique block.  On a cactus the
+    number of paths between two vertices is the product of the weights on
+    the tree route between their nodes.
+    """
+
+    parent: tuple[int, ...]  # -1 at the root
+    order: tuple[int, ...]  # breadth-first from the root: parents first
+    depth: tuple[int, ...]
+    weight: tuple[int, ...]  # 2 for a cycle block, else 1
+    occupants: tuple[int, ...]  # vertices v with node[v] == x
+    node: tuple[int, ...]
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -342,7 +339,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     timer = 0
     edge_stack: list[tuple[int, int]] = []
     raw_blocks: list[list[tuple[int, int]]] = []
-    cut: set[bool] = set()
+    cut: set[int] = set()
     if n == 0:
         return BlockCutTree((), frozenset(), ())
 
@@ -454,7 +451,7 @@ def validate_cactus(g: Graph) -> CactusProfile:
             )
     cycle_ids = [i for i, b in enumerate(tree.blocks) if b.kind == CYCLE]
     k = len(cycle_ids)
-    if k != g.m - g.n + 1:
+    if k != g.m - g.n + (1 if g.n else 0):
         raise AssertionError("cycle rank mismatch in cactus decomposition")
     bridges = tuple(b.edges[0] for b in tree.blocks if b.kind == BRIDGE)
     end_cycles = []

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +139,24 @@ def test_enumerate_rejects_bad_domain():
 def test_census_guard():
     with pytest.raises(CensusSizeError):
         enumerate_cacti(8, 2, guard=3)
+
+
+def test_census_guard_ignores_smaller_censuses():
+    # a fresh interpreter starts with every census uncached; the guard must
+    # count the 326 classes of (10, 3) only, not those of the censuses below it
+    code = "from cactuspaths.census import enumerate_cacti; print(len(enumerate_cacti(10, 3, guard=400)))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "326\n"
+    assert len(enumerate_cacti(10, 3, guard=400)) == 326
+    with pytest.raises(CensusSizeError):
+        enumerate_cacti(10, 3, guard=325)
 
 
 def test_census_sizes_shape():

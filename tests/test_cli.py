@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cactuspaths.census import random_cactus
 from cactuspaths.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_VERIFY, main
 from cactuspaths.families import complete_graph, pseudo_triangle_chain
 from cactuspaths.graphs import to_edge_list_text
+from cactuspaths.transforms import RULES
 
 
 def run(capsys, argv):
@@ -202,6 +209,73 @@ def test_profile_cli(capsys):
 def test_profile_cli_rejects_non_cactus(capsys, k4_file):
     code, _, err = run(capsys, ["profile", "--in", k4_file])
     assert code == EXIT_INVALID and "neither an edge nor a cycle" in err
+
+
+def test_empty_graph_is_the_trivial_cactus(capsys, tmp_path):
+    path = tmp_path / "empty.edges"
+    path.write_text("0 0\n")
+    assert run(capsys, ["pn", "--in", str(path)]) == (EXIT_OK, "0\n", "")
+    assert run(capsys, ["pn", "--oracle", "--in", str(path)]) == (EXIT_OK, "0\n", "")
+    code, out, _ = run(capsys, ["profile", "--in", str(path)])
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["k"] == 0 and data["tree"] == {"blocks": [], "cut_vertices": []}
+    code, out, _ = run(capsys, ["indices", str(path)])
+    assert code == EXIT_OK
+    assert json.loads(out) == {"pn": "0", "wiener": "0", "subtrees": "0"}
+    code, _, err = run(capsys, ["transform", "--rule", "bridge-slide", "--in", str(path)])
+    assert code == EXIT_INVALID and "needs a bridge" in err
+
+
+@st.composite
+def near_miss_edge_lists(draw):
+    """Edge-list text that is valid or one slip away from it: a random
+    cactus with an edge added or dropped, or arbitrary pairs under a header
+    whose edge count may be off by one."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        k = draw(st.integers(0, (n - 1) // 2))
+        g = random_cactus(n, k, random.Random(draw(st.integers(0, 10**6))))
+        edges = [list(e) for e in g.sorted_edges]
+        if edges and draw(st.booleans()):
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        else:
+            edges.append([draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))])
+        m = len(edges)
+    else:
+        n = draw(st.integers(0, 8))
+        vertex = st.integers(-1, n)
+        edges = draw(st.lists(st.lists(vertex, min_size=2, max_size=2), max_size=12))
+        m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return "\n".join([f"{n} {m}"] + [f"{u} {v}" for u, v in edges]) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.edges"
+
+
+@given(
+    text=near_miss_edge_lists(),
+    command=st.sampled_from(["pn", "check", "profile", "indices", "transform"]),
+    rule=st.sampled_from(sorted(RULES)),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_input_gets_a_documented_exit(fuzz_file, text, command, rule):
+    path = fuzz_file
+    path.write_text(text)
+    argv = {
+        "pn": ["pn", "--in", str(path)],
+        "check": ["pn", "--check", "--in", str(path)],
+        "profile": ["profile", "--in", str(path)],
+        "indices": ["indices", str(path)],
+        "transform": ["transform", "--rule", rule, "--in", str(path)],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--budget", "20000"] + argv)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_BUDGET, EXIT_VERIFY)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

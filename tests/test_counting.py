@@ -23,7 +23,12 @@ from cactuspaths.families import (
     pseudo_triangle_chain,
     star_graph,
 )
-from cactuspaths.formulas import connected_graph_bounds, tree_path_count
+from cactuspaths.formulas import (
+    connected_graph_bounds,
+    min_cactus_path_count,
+    ptc_summation,
+    tree_path_count,
+)
 from cactuspaths.graphs import Graph, validate_cactus
 
 
@@ -97,15 +102,15 @@ def test_budget_env_default(monkeypatch):
 def test_cycles_on_route_examples():
     shared = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     p = validate_cactus(shared)
-    assert cycles_on_route(p, 2, 0).c == 1  # cut vertex to a triangle vertex
-    assert cycles_on_route(p, 0, 3).c == 2
+    assert cycles_on_route(p, 2, 0) == 1  # cut vertex to a triangle vertex
+    assert cycles_on_route(p, 0, 3) == 2
 
     ptc = validate_cactus(pseudo_triangle_chain(9, 3))
     # end-cycle interiors: vertex 0 on the first cycle, vertex 7 on the last
-    assert cycles_on_route(ptc, 0, 7).c == 3
+    assert cycles_on_route(ptc, 0, 7) == 3
 
     tree = validate_cactus(path_graph(6))
-    assert cycles_on_route(tree, 0, 5).c == 0
+    assert cycles_on_route(tree, 0, 5) == 0
 
 
 def test_pair_count_cactus_examples():
@@ -196,6 +201,16 @@ def test_fast_counter_matches_oracle_random(seed):
     y = rng.randrange(n)
     if x != y:
         assert cactus_count_between(p, x, y) == count_paths_between(g, x, y)
+
+
+@pytest.mark.parametrize("n,k", [(10_001, 50), (10_000, 1_000)])
+def test_fast_counter_matches_closed_forms_at_large_n(n, k):
+    # far beyond the oracle's reach: the closed forms are the judges here
+    assert cactus_path_count(validate_cactus(pseudo_triangle_chain(n, k))) == ptc_summation(n, k)
+    assert cactus_path_count(validate_cactus(pseudo_friendship(n, k))) == min_cactus_path_count(
+        n, k
+    )
+    assert cactus_path_count(validate_cactus(path_graph(n))) == tree_path_count(n)
 
 
 @given(st.integers(0, 10**6))

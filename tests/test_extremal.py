@@ -1,5 +1,6 @@
 import pytest
 
+from cactuspaths import extremal
 from cactuspaths.census import canonical_key
 from cactuspaths.counting import count_paths
 from cactuspaths.extremal import (
@@ -51,6 +52,19 @@ def test_sweep_rows_shape():
     assert tuple(rows[0]) == SWEEP_COLUMNS
     assert rows[0]["is_argmin"] == rows[0]["is_argmax"] == "true"
     assert rows[0]["value"] == "33"
+
+
+def test_sweep_rows_reads_values_from_the_report(monkeypatch):
+    rep = extremal_sweep(7, 2, "subtrees")
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("sweep_rows evaluated an invariant")
+
+    for name in ("_value", "cactus_path_count", "subtree_count", "wiener"):
+        monkeypatch.setattr(extremal, name, no_evaluation)
+    rows = sweep_rows(rep)
+    assert [int(r["value"]) for r in rows] == list(rep.values)
+    assert [r["canonical_key"] for r in rows] == [canonical_key(g).hex() for g in rep.census]
 
 
 def test_sweep_rejects_unknown_invariant():

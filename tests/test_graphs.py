@@ -23,6 +23,7 @@ from cactuspaths.graphs import (
     block_cut_tree,
     cycle_incidence_graph,
     find_bridges,
+    is_cactus,
     is_cactus_chain,
     is_connected,
     parse_edge_list,
@@ -198,6 +199,29 @@ def test_bct_edge_partition_and_tree_shape():
         assert multi == set(t.cut_vertices)
 
 
+def test_bct_rooted_form():
+    for g in [cycle_chain([3, 4, 3]), path_graph(6), pseudo_friendship(10, 3)] + [
+        g for n in range(2, 8) for k in range((n - 1) // 2 + 1) for g in enumerate_cacti(n, k)
+    ]:
+        t = block_cut_tree(g)
+        r = t.rooted
+        cuts = sorted(t.cut_vertices)
+        size = len(t.blocks) + len(cuts)
+        assert r.order[0] == 0 and r.parent[0] == -1 and sorted(r.order) == list(range(size))
+        position = {x: i for i, x in enumerate(r.order)}
+        for x in r.order[1:]:
+            p = r.parent[x]
+            assert position[p] < position[x] and r.depth[x] == r.depth[p] + 1
+            block, cut = (x, p) if x < len(t.blocks) else (p, x)
+            assert cuts[cut - len(t.blocks)] in t.incidence[block]
+        assert r.weight == tuple(2 if b.kind == CYCLE else 1 for b in t.blocks) + (1,) * len(cuts)
+        assert len(r.node) == g.n
+        assert r.occupants == tuple(r.node.count(x) for x in range(size))
+        for v in range(g.n):
+            x = r.node[v]
+            assert (cuts[x - len(t.blocks)] == v) if v in t.cut_vertices else v in t.blocks[x].vertex_set
+
+
 def test_bct_k4_is_one_other_block():
     t = block_cut_tree(complete(4))
     assert len(t.blocks) == 1 and t.blocks[0].kind == "other"
@@ -214,6 +238,13 @@ def test_validate_cactus_rejects_k4():
 def test_validate_cactus_tree():
     p = validate_cactus(path_graph(5))
     assert p.k == 0 and not p.end_cycles and len(p.bridges) == 4
+
+
+def test_validate_cactus_empty_graph():
+    empty = Graph(0, frozenset())
+    assert is_connected(empty) and is_cactus(empty)
+    p = validate_cactus(empty)
+    assert p.k == 0 and not p.tree.blocks and not p.bridges
 
 
 def test_validate_cactus_pfg():
