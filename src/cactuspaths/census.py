@@ -294,6 +294,14 @@ def _cacti(n: int, k: int, limit: int | None = None) -> tuple[Graph, ...]:
     return result
 
 
+def clear_caches() -> None:
+    """Empty the census caches and the canonical-key cache (whose hit and
+    miss statistics restart too); results do not depend on them."""
+    _graph_census.clear()
+    _cactus_census.clear()
+    canonical_key.cache_clear()
+
+
 def cactus_census_sizes(n: int) -> dict[int, int]:
     """Class counts of the cactus censuses for every feasible k at this n."""
     return {k: len(enumerate_cacti(n, k)) for k in range((n - 1) // 2 + 1)}

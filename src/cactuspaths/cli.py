@@ -54,7 +54,6 @@ class RunConfig:
     budget: int | None = None
     guard: int | None = None
     fmt: str = "plain"
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.budget is not None and self.budget <= 0:
@@ -63,8 +62,6 @@ class RunConfig:
             raise ValueError("census guard must be positive")
         if self.fmt not in ("plain", "json", "csv"):
             raise ValueError(f"unrecognized output format {self.fmt!r}")
-        if self.jobs < 1:
-            raise ValueError("parallelism degree must be at least 1")
 
 
 def _family_spec(args, name: str) -> FamilySpec:
@@ -131,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--budget", type=int, help="work budget for exhaustive counters")
     parser.add_argument("--guard", type=int, help="census class-count guard")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pn", help="subpath number of a graph")
@@ -249,14 +245,7 @@ def _cmd_transform(args, config: RunConfig) -> int:
 
 
 def _cmd_sweep(args, config: RunConfig) -> int:
-    report = extremal_sweep(
-        args.n,
-        args.k,
-        args.invariant,
-        guard=config.guard,
-        budget=config.budget,
-        jobs=config.jobs,
-    )
+    report = extremal_sweep(args.n, args.k, args.invariant, guard=config.guard)
     rows = sweep_rows(report)
     sys.stdout.write(_write_csv(SWEEP_COLUMNS, rows, args.out))
     return EXIT_OK
@@ -264,14 +253,7 @@ def _cmd_sweep(args, config: RunConfig) -> int:
 
 def _cmd_verify(args, config: RunConfig) -> int:
     invariants = tuple(args.invariant) if args.invariant else INVARIANTS
-    report = verify_theorems(
-        args.n,
-        args.k,
-        invariants=invariants,
-        guard=config.guard,
-        budget=config.budget,
-        jobs=config.jobs,
-    )
+    report = verify_theorems(args.n, args.k, invariants=invariants, guard=config.guard)
     print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
@@ -305,12 +287,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7+ caps int/str at 4,300 digits
+        sys.set_int_max_str_digits(0)
     try:
         config = RunConfig(
             budget=args.budget,
             guard=args.guard,
             fmt=getattr(args, "fmt", "plain"),
-            jobs=args.jobs,
         )
         work_budget(config.budget)  # validate any env-var override early
         return _COMMANDS[args.command](args, config)

@@ -43,6 +43,8 @@ def count_paths(g: Graph, budget: int | None = None) -> int:
     nontrivial path is counted once by requiring start < end.
     """
     limit = work_budget(budget)
+    if g.n > limit:  # more start vertices than steps: refused before allocating
+        raise BudgetExceededError(f"path enumeration exceeded {limit} extension steps")
     masks = g.adjacency_masks
     total = g.n  # trivial length-0 paths
     steps = 0

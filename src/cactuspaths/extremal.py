@@ -16,19 +16,16 @@ from .families import (
 )
 from .formulas import min_cactus_path_count, ptc_summation, tree_path_count
 from .graphs import CactusProfile, Graph, validate_cactus
-from .indices import subtree_count, wiener
+from .indices import cactus_subtree_count, cactus_wiener
 
 INVARIANTS = ("pn", "wiener", "subtrees")
 
 
-def _value(invariant: str, g: Graph, budget: int | None = None) -> int:
-    if invariant == "pn":
-        return cactus_path_count(validate_cactus(g))
-    if invariant == "wiener":
-        return wiener(g)
-    if invariant == "subtrees":
-        return subtree_count(g, budget=budget)
-    raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
+def _value(invariant: str, g: Graph) -> int:
+    counters = {"pn": cactus_path_count, "wiener": cactus_wiener, "subtrees": cactus_subtree_count}
+    if invariant not in counters:
+        raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
+    return counters[invariant](validate_cactus(g))
 
 
 @dataclass(frozen=True)
@@ -67,22 +64,12 @@ def extremal_sweep(
     k: int,
     invariant: str,
     guard: int | None = None,
-    budget: int | None = None,
-    jobs: int = 1,
 ) -> ExtremalReport:
     """Evaluate one invariant over the whole census of cacti with n vertices
     and k cycles and report the extremes with their complete argmin/argmax
     sets."""
     census = enumerate_cacti(n, k, guard=guard)
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            values = pool.starmap(
-                _value, [(invariant, g, budget) for g in census], chunksize=16
-            )
-    else:
-        values = [_value(invariant, g, budget) for g in census]
+    values = [_value(invariant, g) for g in census]
     lo, hi = min(values), max(values)
     argmin = tuple(
         ArgEntry(canonical_key(g), g) for g, v in zip(census, values) if v == lo
@@ -161,8 +148,6 @@ def verify_theorems(
     k: int,
     invariants: tuple[str, ...] = INVARIANTS,
     guard: int | None = None,
-    budget: int | None = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Check the extremal characterizations on the (n, k) census.
 
@@ -175,8 +160,7 @@ def verify_theorems(
     """
     checks: list[Check] = []
     reports: dict[str, ExtremalReport] = {
-        inv: extremal_sweep(n, k, inv, guard=guard, budget=budget, jobs=jobs)
-        for inv in invariants
+        inv: extremal_sweep(n, k, inv, guard=guard) for inv in invariants
     }
     bsg_defined = k >= 2 and n >= 2 * k + 2
 

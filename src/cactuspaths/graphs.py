@@ -125,6 +125,12 @@ class Graph:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges]}
 
 
+# Python's default bound on int/str conversion: the CLI lifts it to print
+# long counts, and parsing keeps it, since int() of a long string takes
+# quadratic time.
+_MAX_INT_CHARS = 4300
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" header plus m lines of "u v" into a Graph.
 
@@ -138,6 +144,8 @@ def parse_edge_list(text: str) -> Graph:
     if len(header) != 2:
         raise MalformedLineError(f"header must be 'n m', got {lines[0]!r}")
     try:
+        if len(header[0]) > _MAX_INT_CHARS or len(header[1]) > _MAX_INT_CHARS:
+            raise ValueError
         n, m = int(header[0]), int(header[1])
     except ValueError:
         raise MalformedLineError(f"header must be two integers, got {lines[0]!r}") from None
@@ -151,6 +159,8 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise MalformedLineError(f"edge line must be 'u v', got {line!r}")
         try:
+            if len(parts[0]) > _MAX_INT_CHARS or len(parts[1]) > _MAX_INT_CHARS:
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise MalformedLineError(f"edge line must be two integers, got {line!r}") from None
@@ -174,6 +184,8 @@ def to_edge_list_text(g: Graph) -> str:
 
 def is_connected(g: Graph) -> bool:
     """True iff g has at most one component (K_1 and the empty graph are connected)."""
+    if g.m < g.n - 1:  # too few edges: decided before allocating per-vertex state
+        return False
     return len(connected_components(g)) <= 1
 
 

@@ -1,4 +1,10 @@
-"""Wiener index and subtree number, for the cross-comparison sweeps."""
+"""Wiener index and subtree number, for the cross-comparison sweeps.
+
+wiener and subtree_count work on any graph by brute force and serve as the
+oracles.  On a cactus, cactus_wiener and cactus_subtree_count compute the
+same values in one bottom-up pass over the rooted block-cut tree, with O(n)
+integer operations: the sweeps and the triple of a cactus use them.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ from dataclasses import dataclass
 
 from .counting import BudgetExceededError, cactus_path_count, count_paths, work_budget
 from .graphs import (
+    CactusProfile,
     DisconnectedError,
     Graph,
     NotCactusError,
@@ -85,6 +92,103 @@ def subtree_count(g: Graph, budget: int | None = None) -> int:
     return g.n + len(seen)
 
 
+def _rings(profile: CactusProfile):
+    """Every block's vertices, each block after all the blocks below it,
+    rotated so that the block's top vertex comes first: the cut vertex to
+    its parent block, or the first vertex of the root block.  The rest
+    follow in cyclic order.  Every vertex but the root block's top is a
+    non-top vertex of exactly one block."""
+    tree = profile.tree
+    rooted = tree.rooted
+    nblocks = len(tree.blocks)
+    cuts = sorted(tree.cut_vertices)
+    for x in reversed(rooted.order):
+        if x >= nblocks:
+            continue
+        ring = tree.blocks[x].vertices
+        p = rooted.parent[x]
+        t = ring.index(cuts[p - nblocks]) if p >= 0 else 0
+        yield ring[t:] + ring[:t]
+
+
+def cactus_subtree_count(profile: CactusProfile) -> int:
+    """Subtree number of a cactus, equal to subtree_count.
+
+    F[v] counts the subtrees whose top vertex is v: a product over the
+    blocks below v.  A bridge to u gives 1 + F[u].  A cycle whose ring
+    below v is u_1..u_{L-1} gives the arcs through v that miss at least one
+    ring edge, sum over i + j <= L-1 of P(i)*Q(j), with P and Q the prefix
+    products of F along the two directions.  The subtrees with no single
+    top vertex are a ring's arcs of two or more vertices that avoid its top.
+    """
+    n = profile.graph.n
+    if n == 0:
+        return 0
+    F = [1] * n
+    total = 0
+    top = 0  # after the loop: the root block's top, or the lone vertex
+    for top, *below in _rings(profile):
+        if len(below) == 1:
+            factor = 1 + F[below[0]]
+        else:
+            q, sq, sums = 1, 1, [1]  # sums[m] = Q(0) + ... + Q(m)
+            for u in reversed(below):
+                q *= F[u]
+                sq += q
+                sums.append(sq)
+            p, factor = 1, sums[-1]
+            arcs = ends = 0  # ends: arcs of the ring below ending at u
+            for i, u in enumerate(below, 1):
+                f = F[u]
+                p *= f
+                factor += p * sums[len(below) - i]
+                arcs += f * ends
+                ends = f * (1 + ends)
+            total += arcs
+        for u in below:
+            total += F[u]
+            F[u] = 0  # u is done: free its big integer
+        F[top] *= factor
+    return total + F[top]
+
+
+def _ring_distances(w: list[int]) -> int:
+    """Sum over i < j of w_i * w_j * min(j - i, L - j + i), L = len(w), in
+    O(L) with prefix sums of w_i and i * w_i."""
+    half = len(w) // 2
+    ws = [0]  # ws[k] = w_0 + ... + w_{k-1}
+    iws = [0]  # iws[k] = 0*w_0 + ... + (k-1)*w_{k-1}
+    for i, x in enumerate(w):
+        ws.append(ws[-1] + x)
+        iws.append(iws[-1] + i * x)
+    total = 0
+    for j, x in enumerate(w):
+        a = max(0, j - half)  # i in [a, j) is at most half the ring back
+        near = j * (ws[j] - ws[a]) - (iws[j] - iws[a])
+        far = (len(w) - j) * ws[a] + iws[a]
+        total += x * (near + far)
+    return total
+
+
+def cactus_wiener(profile: CactusProfile) -> int:
+    """Wiener index of a cactus, equal to wiener.
+
+    A shortest path crosses each block between the ring positions at which
+    its ends hang, so each block adds sum over i < j of w_i * w_j * d(i, j),
+    where w_i counts the vertices hanging at ring position i and d is the
+    distance along the ring (1 for a bridge).
+    """
+    n = profile.graph.n
+    hang = [1] * n  # hang[v]: v and everything below it
+    total = 0
+    for top, *below in _rings(profile):
+        w = [hang[u] for u in below]
+        size = sum(w)
+        total += _ring_distances([n - size] + w)
+        hang[top] += size
+    return total
+
+
 @dataclass(frozen=True)
 class InvariantTriple:
     """Subpath number, Wiener index, and subtree number of one graph."""
@@ -102,12 +206,17 @@ class InvariantTriple:
 
 
 def invariant_triple(g: Graph, budget: int | None = None) -> InvariantTriple:
-    """All three invariants of a connected graph; the subpath number uses
-    the fast cactus counter whenever the input is a cactus."""
+    """All three invariants of a connected graph: the linear cactus
+    counters on a cactus, the brute-force ones (bounded by the budget)
+    otherwise."""
     if not is_connected(g):
         raise DisconnectedError("invariant_triple requires a connected graph")
     try:
-        pn = cactus_path_count(validate_cactus(g))
+        profile = validate_cactus(g)
     except NotCactusError:
-        pn = count_paths(g, budget=budget)
-    return InvariantTriple(pn, wiener(g), subtree_count(g, budget=budget))
+        return InvariantTriple(
+            count_paths(g, budget=budget), wiener(g), subtree_count(g, budget=budget)
+        )
+    return InvariantTriple(
+        cactus_path_count(profile), cactus_wiener(profile), cactus_subtree_count(profile)
+    )

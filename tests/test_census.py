@@ -16,6 +16,7 @@ from cactuspaths.census import (
     are_isomorphic,
     canonical_key,
     cactus_census_sizes,
+    clear_caches,
     connected_graphs,
     count_automorphisms,
     enumerate_cacti,
@@ -139,6 +140,15 @@ def test_enumerate_rejects_bad_domain():
 def test_census_guard():
     with pytest.raises(CensusSizeError):
         enumerate_cacti(8, 2, guard=3)
+
+
+def test_census_after_clear_caches_equals_the_one_before():
+    cacti, graphs = enumerate_cacti(8, 2), all_graphs(5)
+    clear_caches()
+    assert canonical_key.cache_info().currsize == 0
+    assert enumerate_cacti(8, 2) == cacti
+    assert all_graphs(5) == graphs
+    assert canonical_key.cache_info().misses > 0
 
 
 def test_census_guard_ignores_smaller_censuses():

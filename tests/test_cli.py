@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from cactuspaths.census import random_cactus
 from cactuspaths.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_VERIFY, main
-from cactuspaths.families import complete_graph, pseudo_triangle_chain
+from cactuspaths.families import (
+    complete_graph,
+    cycle_chain,
+    pseudo_friendship,
+    pseudo_triangle_chain,
+)
+from cactuspaths.formulas import ptc_summation
 from cactuspaths.graphs import to_edge_list_text
 from cactuspaths.transforms import RULES
 
@@ -227,6 +233,41 @@ def test_empty_graph_is_the_trivial_cactus(capsys, tmp_path):
     assert code == EXIT_INVALID and "needs a bridge" in err
 
 
+def test_counts_past_the_int_string_limit(capsys, tmp_path):
+    # Python 3.10.7+ refuses by default to print an int of over 4,300 digits
+    chain = tmp_path / "chain.edges"
+    chain.write_text(to_edge_list_text(cycle_chain([3] * 15000)))  # n = 30,001
+    code, out, err = run(capsys, ["pn", "--in", str(chain)])
+    assert (code, err) == (EXIT_OK, "")
+    assert out == f"{ptc_summation(30001, 15000)}\n"
+    pfg = tmp_path / "pfg.edges"
+    pfg.write_text(to_edge_list_text(pseudo_friendship(11201, 5600)))  # 6^5600 subtrees
+    code, out, err = run(capsys, ["indices", str(pfg)])
+    assert (code, err) == (EXIT_OK, "")
+    assert len(json.loads(out)["subtrees"]) > 4300
+
+
+def test_indices_non_cactus_is_bounded_by_the_budget(capsys, tmp_path):
+    path = tmp_path / "k7.edges"
+    path.write_text(to_edge_list_text(complete_graph(7)))
+    code, _, err = run(capsys, ["--budget", "20", "indices", str(path)])
+    assert code == EXIT_BUDGET and "exceeded 20" in err
+
+
+def test_oversized_vertex_count_gets_a_documented_exit(capsys, tmp_path):
+    path = tmp_path / "huge.edges"
+    path.write_text("10000000000000000000 0\n")
+    code, _, err = run(capsys, ["pn", "--in", str(path)])
+    assert code == EXIT_BUDGET and "extension steps" in err
+    for argv in (["indices", str(path)], ["profile", "--in", str(path)]):
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_INVALID and "connected" in err
+    # lifting the digit limit for output leaves it on input: no quadratic int()
+    path.write_text("1" + "0" * 10**6 + " 0\n")
+    code, _, err = run(capsys, ["pn", "--in", str(path)])
+    assert code == EXIT_INVALID and "header must be two integers" in err
+
+
 @st.composite
 def near_miss_edge_lists(draw):
     """Edge-list text that is valid or one slip away from it: a random
@@ -256,14 +297,14 @@ def fuzz_file(tmp_path_factory):
 
 
 @given(
-    text=near_miss_edge_lists(),
+    text=st.one_of(near_miss_edge_lists(), st.text(st.characters(blacklist_categories=("Cs",)))),
     command=st.sampled_from(["pn", "check", "profile", "indices", "transform"]),
     rule=st.sampled_from(sorted(RULES)),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_every_input_gets_a_documented_exit(fuzz_file, text, command, rule):
     path = fuzz_file
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     argv = {
         "pn": ["pn", "--in", str(path)],
         "check": ["pn", "--check", "--in", str(path)],
@@ -309,7 +350,7 @@ def test_census_guard_exit_code(capsys):
 
 
 def test_bad_config_rejected(capsys):
-    code, _, err = run(capsys, ["--jobs", "0", "pn", "--family", "cycle", "--n", "5"])
+    code, _, err = run(capsys, ["--budget", "0", "pn", "--family", "cycle", "--n", "5"])
     assert code == EXIT_INVALID
 
 

@@ -1,8 +1,9 @@
+import random
 from math import comb
 
 import pytest
 
-from cactuspaths.census import connected_graphs
+from cactuspaths.census import connected_graphs, enumerate_cacti, random_cactus
 from cactuspaths.counting import BudgetExceededError
 from cactuspaths.families import (
     complete_graph,
@@ -10,8 +11,14 @@ from cactuspaths.families import (
     path_graph,
     pseudo_friendship,
 )
-from cactuspaths.graphs import DisconnectedError, Graph
-from cactuspaths.indices import invariant_triple, subtree_count, wiener
+from cactuspaths.graphs import DisconnectedError, Graph, validate_cactus
+from cactuspaths.indices import (
+    cactus_subtree_count,
+    cactus_wiener,
+    invariant_triple,
+    subtree_count,
+    wiener,
+)
 
 
 def test_wiener_examples():
@@ -66,6 +73,60 @@ def test_pfg_indices_match_hand_formulas():
         g = pseudo_friendship(n, k)
         assert wiener(g) == pfg_wiener_by_hand(n, k)
         assert subtree_count(g) == pfg_subtrees_by_hand(n, k)
+
+
+def census(max_n):
+    for n in range(1, max_n + 1):
+        for k in range((n - 1) // 2 + 1):
+            yield from enumerate_cacti(n, k)
+
+
+def test_cactus_subtree_count_matches_oracle_on_census():
+    for g in census(9):
+        assert cactus_subtree_count(validate_cactus(g)) == subtree_count(g), g
+
+
+def test_cactus_wiener_matches_oracle_on_census():
+    for g in census(10):
+        assert cactus_wiener(validate_cactus(g)) == wiener(g), g
+
+
+def test_cactus_indices_match_oracles_on_random_cacti():
+    # relabeled: random_cactus (like the census) gives each block its
+    # smallest vertex as the cut vertex towards vertex 0
+    rng = random.Random(2005)
+    for _ in range(200):
+        n = rng.randrange(1, 60)
+        perm = rng.sample(range(n), n)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng).relabel(perm)
+        profile = validate_cactus(g)
+        assert cactus_wiener(profile) == wiener(g), g
+        if n < 15:
+            assert cactus_subtree_count(profile) == subtree_count(g), g
+
+
+def test_cactus_indices_of_the_empty_graph_and_k1():
+    for n in (0, 1):
+        profile = validate_cactus(Graph(n, frozenset()))
+        assert cactus_subtree_count(profile) == subtree_count(profile.graph) == n
+        assert cactus_wiener(profile) == 0
+
+
+def test_cactus_indices_closed_forms_at_large_n():
+    # where the oracles cannot run: cycles, paths and PFG at n near 10^4
+    for n in (10000, 10001):
+        profile = validate_cactus(cycle_graph(n))
+        assert cactus_subtree_count(profile) == n * n
+        assert cactus_wiener(profile) == (n**3 if n % 2 == 0 else n**3 - n) // 8
+        profile = validate_cactus(path_graph(n))
+        assert cactus_subtree_count(profile) == comb(n + 1, 2)
+        assert cactus_wiener(profile) == n * (n * n - 1) // 6
+    for n, k in [(10001, 5000), (10000, 3000)]:
+        profile = validate_cactus(pseudo_friendship(n, k))
+        assert cactus_subtree_count(profile) == pfg_subtrees_by_hand(n, k)
+        assert cactus_wiener(profile) == pfg_wiener_by_hand(n, k)
+        t = invariant_triple(profile.graph)  # takes the linear path on a cactus
+        assert (t.wiener, t.subtrees) == (pfg_wiener_by_hand(n, k), pfg_subtrees_by_hand(n, k))
 
 
 def test_adding_an_edge_strictly_decreases_wiener():

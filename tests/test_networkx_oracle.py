@@ -1,0 +1,52 @@
+"""A second, independent oracle: networkx, where it is installed.
+
+networkx is not a dependency of the package; this module is skipped without
+it.  It checks the Wiener index (brute force and cactus pass) and the
+canonical key against networkx's own implementations.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from cactuspaths.census import canonical_key, enumerate_cacti, random_cactus
+from cactuspaths.graphs import validate_cactus
+from cactuspaths.indices import cactus_wiener, wiener
+
+nx = pytest.importorskip("networkx")
+
+
+def to_nx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def census(max_n):
+    for n in range(1, max_n + 1):
+        for k in range((n - 1) // 2 + 1):
+            yield from enumerate_cacti(n, k)
+
+
+def test_wiener_agrees_with_networkx():
+    rng = random.Random(1947)
+    randoms = []
+    for _ in range(60):
+        n = rng.randrange(1, 201)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        randoms.append(g.relabel(rng.sample(range(n), n)))
+    for g in [*census(8), *randoms]:
+        expected = int(nx.wiener_index(to_nx(g)))
+        assert wiener(g) == expected, g
+        assert cactus_wiener(validate_cactus(g)) == expected, g
+
+
+def test_canonical_key_agrees_with_networkx_isomorphism():
+    rng = random.Random(1998)
+    graphs = list(census(7))
+    graphs += [g.relabel(rng.sample(range(g.n), g.n)) for g in graphs]
+    for g, h in combinations(graphs, 2):
+        same_key = canonical_key(g) == canonical_key(h)
+        assert same_key == nx.is_isomorphic(to_nx(g), to_nx(h)), (g, h)
