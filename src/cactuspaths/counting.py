@@ -11,7 +11,7 @@ cactus_path_count needs O(n) integer operations.
 from __future__ import annotations
 
 import os
-from .graphs import CactusProfile, Graph
+from .graphs import CactusProfile, Graph, connected_components
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "CACTUSPATHS_BUDGET"
@@ -39,32 +39,47 @@ def work_budget(budget: int | None = None) -> int:
 def count_paths(g: Graph, budget: int | None = None) -> int:
     """Total number of simple paths in g, by exhaustive extension.
 
-    Works per connected component, so disconnected inputs are fine.  Each
-    nontrivial path is counted once by requiring start < end.
+    Works per connected component, with vertex masks indexed within the
+    component, so disconnected inputs are fine.  Each nontrivial path is
+    counted once by requiring start < end.  Every start vertex and every
+    extension costs one step of the budget.
     """
     limit = work_budget(budget)
     if g.n > limit:  # more start vertices than steps: refused before allocating
         raise BudgetExceededError(f"path enumeration exceeded {limit} extension steps")
-    masks = g.adjacency_masks
     total = g.n  # trivial length-0 paths
     steps = 0
-    for s in range(g.n):
-        stack = [(s, 1 << s)]
-        while stack:
-            v, visited = stack.pop()
-            ext = masks[v] & ~visited
-            while ext:
-                bit = ext & -ext
-                ext ^= bit
-                steps += 1
-                if steps > limit:
-                    raise BudgetExceededError(
-                        f"path enumeration exceeded {limit} extension steps"
-                    )
-                u = bit.bit_length() - 1
-                if u > s:
-                    total += 1
-                stack.append((u, visited | bit))
+    adj = g.adjacency
+    pos = [0] * g.n  # index of each vertex within its component
+    for comp in connected_components(g):
+        steps += len(comp)  # one per start vertex
+        if steps > limit:
+            raise BudgetExceededError(f"path enumeration exceeded {limit} extension steps")
+        if len(comp) == 1:
+            continue
+        for i, v in enumerate(comp):
+            pos[v] = i
+        masks = [0] * len(comp)
+        for i, v in enumerate(comp):
+            for u in adj[v]:
+                masks[i] |= 1 << pos[u]
+        for s in range(len(comp)):
+            stack = [(s, 1 << s)]
+            while stack:
+                v, visited = stack.pop()
+                ext = masks[v] & ~visited
+                while ext:
+                    bit = ext & -ext
+                    ext ^= bit
+                    steps += 1
+                    if steps > limit:
+                        raise BudgetExceededError(
+                            f"path enumeration exceeded {limit} extension steps"
+                        )
+                    u = bit.bit_length() - 1
+                    if u > s:
+                        total += 1
+                    stack.append((u, visited | bit))
     return total
 
 

@@ -21,11 +21,24 @@ from .indices import cactus_subtree_count, cactus_wiener
 INVARIANTS = ("pn", "wiener", "subtrees")
 
 
-def _value(invariant: str, g: Graph) -> int:
+def _evaluate(
+    census: tuple[Graph, ...], invariants: tuple[str, ...]
+) -> tuple[dict[str, list[int]], list[bool]]:
+    """Every requested invariant of every census graph, and whether it is an
+    end-triangle cactus, validating each graph once.  Only the numbers are
+    kept: holding every profile of a large census would cost memory."""
     counters = {"pn": cactus_path_count, "wiener": cactus_wiener, "subtrees": cactus_subtree_count}
-    if invariant not in counters:
-        raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
-    return counters[invariant](validate_cactus(g))
+    for invariant in invariants:
+        if invariant not in counters:
+            raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
+    values: dict[str, list[int]] = {inv: [] for inv in invariants}
+    end_triangle = []
+    for g in census:
+        profile = validate_cactus(g)
+        for inv in invariants:
+            values[inv].append(counters[inv](profile))
+        end_triangle.append(is_end_triangle_cactus(profile))
+    return values, end_triangle
 
 
 @dataclass(frozen=True)
@@ -69,7 +82,13 @@ def extremal_sweep(
     and k cycles and report the extremes with their complete argmin/argmax
     sets."""
     census = enumerate_cacti(n, k, guard=guard)
-    values = [_value(invariant, g) for g in census]
+    values, _ = _evaluate(census, (invariant,))
+    return _report(n, k, invariant, census, values[invariant])
+
+
+def _report(
+    n: int, k: int, invariant: str, census: tuple[Graph, ...], values: list[int]
+) -> ExtremalReport:
     lo, hi = min(values), max(values)
     argmin = tuple(
         ArgEntry(canonical_key(g), g) for g, v in zip(census, values) if v == lo
@@ -159,9 +178,9 @@ def verify_theorems(
     maximizer and the pn minimizers strictly contain the Wiener minimizer.
     """
     checks: list[Check] = []
-    reports: dict[str, ExtremalReport] = {
-        inv: extremal_sweep(n, k, inv, guard=guard) for inv in invariants
-    }
+    census = enumerate_cacti(n, k, guard=guard) if invariants else ()
+    values, end_triangle = _evaluate(census, invariants)
+    reports = {inv: _report(n, k, inv, census, values[inv]) for inv in invariants}
     bsg_defined = k >= 2 and n >= 2 * k + 2
 
     if "pn" in reports:
@@ -198,9 +217,7 @@ def verify_theorems(
             )
         if k >= 1:
             end_triangle_keys = frozenset(
-                canonical_key(g)
-                for g in enumerate_cacti(n, k, guard=guard)
-                if is_end_triangle_cactus(validate_cactus(g))
+                canonical_key(g) for g, flag in zip(census, end_triangle) if flag
             )
             checks.append(
                 Check(

@@ -86,10 +86,12 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.sorted_edges:
+        for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        for a in nbrs:
+            a.sort()
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -339,76 +341,83 @@ class RootedBlockCutTree:
 def block_cut_tree(g: Graph) -> BlockCutTree:
     """Decompose a connected graph into blocks and cut vertices.
 
-    Hopcroft-Tarjan style single DFS with an edge stack; blocks are reported
-    in a deterministic (sorted) order.
+    One Hopcroft-Tarjan DFS from vertex 0 with an edge stack, which also
+    detects disconnection; blocks are reported in a deterministic (sorted)
+    order.
     """
-    if not is_connected(g):
-        raise DisconnectedError("block_cut_tree requires a connected graph")
     n = g.n
+    if n == 0:
+        return BlockCutTree((), frozenset(), ())
+    if g.m < n - 1:  # too few edges: decided before allocating per-vertex state
+        raise DisconnectedError("block_cut_tree requires a connected graph")
     adj = g.adjacency
     disc = [-1] * n
     low = [0] * n
-    timer = 0
-    edge_stack: list[tuple[int, int]] = []
+    parent = [-1] * n
+    cursor = [0] * n  # next adjacency index to scan at each vertex
+    base = [0] * n  # edge-stack height when the tree edge into v was pushed
+    edge_stack: list[tuple[int, int]] = []  # sorted pairs
     raw_blocks: list[list[tuple[int, int]]] = []
     cut: set[int] = set()
-    if n == 0:
-        return BlockCutTree((), frozenset(), ())
-
     root_children = 0
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]
+    disc[0] = 0
+    timer = 1
+    stack = [0]  # the DFS path
     while stack:
-        v, parent, idx = stack.pop()
-        if idx == 0:
-            disc[v] = low[v] = timer
-            timer += 1
-        if idx < len(adj[v]):
-            stack.append((v, parent, idx + 1))
-            u = adj[v][idx]
-            if u == parent:
+        v = stack[-1]
+        nbrs = adj[v]
+        i = cursor[v]
+        dv = disc[v]
+        pv = parent[v]
+        while i < len(nbrs):
+            u = nbrs[i]
+            i += 1
+            du = disc[u]
+            if du == -1:  # tree edge: descend into u
+                cursor[v] = i
+                parent[u] = v
+                disc[u] = low[u] = timer
+                timer += 1
+                base[u] = len(edge_stack)
+                edge_stack.append((v, u) if v < u else (u, v))
+                stack.append(u)
+                break
+            if du < dv and u != pv:  # back edge to an ancestor
+                edge_stack.append((u, v) if u < v else (v, u))
+                if du < low[v]:
+                    low[v] = du
+        else:  # v is finished
+            stack.pop()
+            if pv == -1:
                 continue
-            if disc[u] == -1:
-                edge_stack.append((v, u))
-                stack.append((u, v, 0))
-            elif disc[u] < disc[v]:
-                edge_stack.append((v, u))
-                low[v] = min(low[v], disc[u])
-        else:
-            if parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    # (parent, v) closes a block.
-                    blk: list[tuple[int, int]] = []
-                    while True:
-                        e = edge_stack.pop()
-                        blk.append(e)
-                        if e == (parent, v):
-                            break
-                    raw_blocks.append(blk)
-                    if parent == 0:
-                        root_children += 1
-                    else:
-                        cut.add(parent)
+            if low[v] < low[pv]:
+                low[pv] = low[v]
+            if low[v] >= disc[pv]:  # the tree edge (pv, v) closes a block
+                b = base[v]
+                raw_blocks.append(edge_stack[b:])
+                del edge_stack[b:]
+                if pv == 0:
+                    root_children += 1
+                else:
+                    cut.add(pv)
+    if timer < n:
+        raise DisconnectedError("block_cut_tree requires a connected graph")
     if root_children >= 2:
         cut.add(0)
 
     blocks: list[Block] = []
     for raw in raw_blocks:
-        vertices = set()
-        for u, v in raw:
-            vertices.add(u)
-            vertices.add(v)
-        edges = sorted(_normalize_edge(u, v) for u, v in raw)
+        edges = tuple(sorted(raw))
         if len(edges) == 1:
-            blocks.append(Block(BRIDGE, tuple(edges[0]), tuple(edges)))
-        elif len(edges) == len(vertices):
-            blocks.append(Block(CYCLE, _cycle_order(vertices, edges), tuple(edges)))
+            blocks.append(Block(BRIDGE, edges[0], edges))
+            continue
+        vertices = {x for e in raw for x in e}
+        if len(edges) == len(vertices):
+            blocks.append(Block(CYCLE, _cycle_order(vertices, edges), edges))
         else:
-            blocks.append(Block(OTHER, tuple(sorted(vertices)), tuple(edges)))
+            blocks.append(Block(OTHER, tuple(sorted(vertices)), edges))
     blocks.sort(key=lambda b: b.edges)
-    incidence = tuple(
-        tuple(v for v in sorted(b.vertex_set) if v in cut) for b in blocks
-    )
+    incidence = tuple(tuple(sorted(v for v in b.vertices if v in cut)) for b in blocks)
     return BlockCutTree(tuple(blocks), frozenset(cut), incidence)
 
 

@@ -14,14 +14,20 @@ fixed sign:
 Free choices (which bridge, which neighbor, ...) default to the smallest
 valid labels so results are reproducible; the monotonicity holds for every
 valid choice, so callers may also pass choices explicitly.
+
+The fixpoint drivers thread one profile per step: the profile and pn that a
+step computes for the graph it builds are the ones the next step reads, so
+each step validates one graph and counts its pn once.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .counting import cactus_path_count
 from .graphs import (
+    Block,
     CactusProfile,
     CigNode,
     Graph,
@@ -69,21 +75,60 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+class _Walk:
+    """The graph a fixpoint driver stands at: its profile and, once
+    counted, its pn.  _apply moves it on to the graph each step builds."""
+
+    __slots__ = ("profile", "pn")
+
+    def __init__(self, profile: CactusProfile) -> None:
+        self.profile = profile
+        self.pn: int | None = None
+
+
+# Set only while a fixpoint driver runs; a context variable, so drivers in
+# other threads or tasks each see their own.  The rules keep their public
+# signatures, so the driver hands them the profile of the graph it stands
+# at through this variable instead of an argument; a rule applied to any
+# other graph validates it.
+_walk: ContextVar[_Walk | None] = ContextVar("_walk", default=None)
+
+
+def _profile(g: Graph) -> CactusProfile:
+    walk = _walk.get()
+    if walk is not None and walk.profile.graph is g:
+        return walk.profile
+    return validate_cactus(g)
+
+
 def _apply(rule: str, profile: CactusProfile, removed, added) -> TransformResult:
     g = profile.graph
-    after = g
-    for u, v in removed:
-        after = after.remove_edge(u, v)
-    for u, v in added:
-        after = after.add_edge(u, v)
+    removed = tuple(_norm(u, v) for u, v in removed)
+    added = tuple(_norm(u, v) for u, v in added)
+    edges = set(g.edges)
+    for e in removed:
+        if e not in edges:
+            raise ValueError(f"no edge {e} to remove")
+        edges.remove(e)
+    for e in added:
+        if e in edges:
+            raise ValueError(f"edge {e} already present")
+        edges.add(e)
+    after = Graph(g.n, frozenset(edges))
+    walk = _walk.get()
+    if walk is None or walk.profile is not profile:
+        walk = _Walk(profile)  # a rule called on its own: nothing to move on
+    pn_before = walk.pn if walk.pn is not None else cactus_path_count(profile)
+    walk.profile = validate_cactus(after)
+    walk.pn = cactus_path_count(walk.profile)
     return TransformResult(
         rule=rule,
         before=g,
         after=after,
-        pn_before=cactus_path_count(profile),
-        pn_after=cactus_path_count(validate_cactus(after)),
-        removed=tuple(_norm(u, v) for u, v in removed),
-        added=tuple(_norm(u, v) for u, v in added),
+        pn_before=pn_before,
+        pn_after=walk.pn,
+        removed=removed,
+        added=added,
     )
 
 
@@ -99,16 +144,19 @@ def bridge_slide(
     """Reroute a cycle through a bridge endpoint: for a bridge uv with v on
     cycle C and w a neighbor of v on C, replace vw by uw.  The bridge joins
     the enlarged cycle, pn strictly increases, and one bridge disappears."""
-    profile = validate_cactus(g)
+    profile = _profile(g)
     if not profile.bridges:
         raise TransformError("bridge_slide needs a bridge")
     candidates: list[tuple[int, int, int]] = []  # (u, v, w)
-    cycle_blocks = [profile.tree.blocks[i] for i in profile.cycle_blocks]
+    cycles_at: dict[int, list[Block]] = {}
+    for i in profile.cycle_blocks:
+        blk = profile.tree.blocks[i]
+        for x in blk.vertices:
+            cycles_at.setdefault(x, []).append(blk)
     for a, b in profile.bridges:
         for u, v in ((a, b), (b, a)):
-            for blk in cycle_blocks:
-                if v in blk.vertex_set:
-                    candidates.extend((u, v, x) for x in _ring_neighbors(blk, v))
+            for blk in cycles_at.get(v, ()):
+                candidates.extend((u, v, x) for x in _ring_neighbors(blk, v))
     if bridge is not None:
         e = _norm(*bridge)
         candidates = [c for c in candidates if _norm(c[0], c[1]) == e]
@@ -154,7 +202,7 @@ def _component_nodes(
 def chain_straighten(g: Graph) -> TransformResult:
     """Detach a cycle from a branch point of the cycle-incidence tree and
     hang it on the far end of a smallest thread, strictly increasing pn."""
-    profile = validate_cactus(g)
+    profile = _profile(g)
     if profile.bridges:
         raise TransformError("chain_straighten needs a bridgeless cactus")
     cig = cycle_incidence_graph(profile)
@@ -222,7 +270,7 @@ def chain_straighten(g: Graph) -> TransformResult:
 
 
 def _chain_profile(g: Graph) -> CactusProfile:
-    profile = validate_cactus(g)
+    profile = _profile(g)
     if not is_cactus_chain(profile):
         raise TransformError("this rewrite needs a bridgeless cactus chain")
     return profile
@@ -313,7 +361,7 @@ def cycle_to_triangle(
     """Shrink a cycle of length >= 4: remove a cycle edge uv and connect v to
     u's other cycle neighbor w, leaving u hanging on the new bridge uw.
     pn strictly decreases (this inverts bridge_slide)."""
-    profile = validate_cactus(g)
+    profile = _profile(g)
     candidates: list[tuple[int, int, int]] = []
     for i in profile.cycle_blocks:
         blk = profile.tree.blocks[i]
@@ -339,7 +387,7 @@ def split_interior_triangle(g: Graph, triangle: int | None = None) -> TransformR
     """In an all-triangle cactus, take an interior triangle with branch
     vertices u1, u2 and reattach every outside edge of u2 to u1, strictly
     decreasing pn and making the triangle an end triangle."""
-    profile = validate_cactus(g)
+    profile = _profile(g)
     if any(len(profile.tree.blocks[i]) >= 4 for i in profile.cycle_blocks):
         raise TransformError("every cycle must be a triangle first")
     if not profile.interior_cycles:
@@ -372,9 +420,40 @@ RULES = {
 }
 
 
-def _step_cap(g: Graph, cap: int | None) -> int:
-    profile = validate_cactus(g)
-    return cap if cap is not None else g.n + profile.k + g.m
+def _fixpoint(g: Graph, cap: int | None, pick) -> tuple[Graph, list[TransformResult]]:
+    """Apply the rule pick(profile) names until it names none.  Each step
+    validates one graph, the one it builds, and counts its pn once."""
+    walk = _Walk(validate_cactus(g))
+    limit = cap if cap is not None else g.n + walk.profile.k + g.m
+    history: list[TransformResult] = []
+    token = _walk.set(walk)
+    try:
+        while (rule := pick(walk.profile)) is not None:
+            history.append(rule(walk.profile.graph))
+            if len(history) > limit:
+                raise FixpointError(f"no fixpoint within {limit} rewrites")
+    finally:
+        _walk.reset(token)
+    return walk.profile.graph, history
+
+
+def _pick_increasing(profile: CactusProfile):
+    if profile.bridges and profile.k >= 1:
+        return bridge_slide
+    if profile.k < 2:
+        return None
+    if not is_cactus_chain(profile):
+        return chain_straighten
+    if any(len(profile.tree.blocks[i]) >= 4 for i in profile.interior_cycles):
+        return shrink_interior_cycle
+    e1, e2 = (profile.tree.blocks[i] for i in profile.end_cycles)
+    return balance_end_cycles if abs(len(e1) - len(e2)) >= 2 else None
+
+
+def _pick_decreasing(profile: CactusProfile):
+    if any(len(profile.tree.blocks[i]) >= 4 for i in profile.cycle_blocks):
+        return cycle_to_triangle
+    return split_interior_triangle if profile.interior_cycles else None
 
 
 def maximize_to_fixpoint(
@@ -383,33 +462,7 @@ def maximize_to_fixpoint(
     """Apply the pn-increasing rewrites until none fires.  For k >= 2 the
     fixpoint is the balanced pseudo triangle chain; for k = 1 it is the
     cycle; trees admit no rewrite at all."""
-    limit = _step_cap(g, cap)
-    history: list[TransformResult] = []
-    cur = g
-    while True:
-        profile = validate_cactus(cur)
-        if profile.bridges and profile.k >= 1:
-            step = bridge_slide(cur)
-        elif profile.k >= 2 and not is_cactus_chain(profile):
-            step = chain_straighten(cur)
-        elif profile.k >= 2 and any(
-            len(profile.tree.blocks[i]) >= 4 for i in profile.interior_cycles
-        ):
-            step = shrink_interior_cycle(cur)
-        else:
-            if profile.k >= 2:
-                e1, e2 = (profile.tree.blocks[i] for i in profile.end_cycles)
-                if abs(len(e1) - len(e2)) >= 2:
-                    step = balance_end_cycles(cur)
-                else:
-                    break
-            else:
-                break
-        history.append(step)
-        cur = step.after
-        if len(history) > limit:
-            raise FixpointError(f"no fixpoint within {limit} rewrites")
-    return cur, history
+    return _fixpoint(g, cap, _pick_increasing)
 
 
 def minimize_to_fixpoint(
@@ -417,19 +470,4 @@ def minimize_to_fixpoint(
 ) -> tuple[Graph, list[TransformResult]]:
     """Apply the pn-decreasing rewrites until every cycle is an end
     triangle."""
-    limit = _step_cap(g, cap)
-    history: list[TransformResult] = []
-    cur = g
-    while True:
-        profile = validate_cactus(cur)
-        if any(len(profile.tree.blocks[i]) >= 4 for i in profile.cycle_blocks):
-            step = cycle_to_triangle(cur)
-        elif profile.interior_cycles:
-            step = split_interior_triangle(cur)
-        else:
-            break
-        history.append(step)
-        cur = step.after
-        if len(history) > limit:
-            raise FixpointError(f"no fixpoint within {limit} rewrites")
-    return cur, history
+    return _fixpoint(g, cap, _pick_decreasing)

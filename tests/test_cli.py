@@ -53,6 +53,13 @@ def test_pn_non_cactus_falls_back_to_oracle(capsys, k4_file):
     assert code == EXIT_OK and out == "34\n"
 
 
+def test_pn_on_many_isolated_vertices(capsys, tmp_path):
+    path = tmp_path / "isolated.edges"
+    path.write_text("200000 0\n")
+    code, out, err = run(capsys, ["pn", "--in", str(path)])
+    assert (code, out, err) == (EXIT_OK, "200000\n", "")
+
+
 def test_pn_check_mode(capsys):
     code, out, _ = run(capsys, ["pn", "--family", "pfg", "--n", "10", "--k", "3", "--check"])
     assert code == EXIT_OK

@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -82,6 +83,20 @@ def test_budget_guard_total():
 def test_budget_guard_pair():
     with pytest.raises(BudgetExceededError):
         count_paths_between(complete_graph(6), 0, 1, budget=5)
+
+
+def test_budget_charges_each_start_vertex():
+    # P_3: 3 start vertices and 6 extensions
+    assert count_paths(path_graph(3), budget=9) == 6
+    with pytest.raises(BudgetExceededError):
+        count_paths(path_graph(3), budget=8)
+
+
+def test_count_paths_is_linear_on_many_components():
+    start = time.perf_counter()
+    assert count_paths(Graph(200_000, frozenset())) == 200_000
+    # about 0.3 s; masks indexed over the whole graph took 1.9 s on the same machine
+    assert time.perf_counter() - start < 1.0
 
 
 def test_budget_env_default(monkeypatch):

@@ -60,11 +60,27 @@ def test_sweep_rows_reads_values_from_the_report(monkeypatch):
     def no_evaluation(*args, **kwargs):
         raise AssertionError("sweep_rows evaluated an invariant")
 
-    for name in ("_value", "cactus_path_count", "cactus_subtree_count", "cactus_wiener"):
+    for name in ("_evaluate", "cactus_path_count", "cactus_subtree_count", "cactus_wiener"):
         monkeypatch.setattr(extremal, name, no_evaluation)
     rows = sweep_rows(rep)
     assert [int(r["value"]) for r in rows] == list(rep.values)
     assert [r["canonical_key"] for r in rows] == [canonical_key(g).hex() for g in rep.census]
+
+
+def test_verify_validates_each_class_once(monkeypatch):
+    calls = []
+    original = extremal.validate_cactus
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(extremal, "validate_cactus", counted)
+    report = verify_theorems(9, 2)
+    assert report.all_passed
+    census = extremal_sweep(9, 2, "pn").census
+    assert len(calls) == 2 * len(census)  # once in verify, once in the sweep
+    assert sorted(map(canonical_key, calls)) == sorted(2 * list(map(canonical_key, census)))
 
 
 def test_sweep_rejects_unknown_invariant():

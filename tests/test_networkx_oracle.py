@@ -1,8 +1,8 @@
 """A second, independent oracle: networkx, where it is installed.
 
 networkx is not a dependency of the package; this module is skipped without
-it.  It checks the Wiener index (brute force and cactus pass) and the
-canonical key against networkx's own implementations.
+it.  It checks the block-cut tree, the Wiener index (brute force and cactus
+pass) and the canonical key against networkx's own implementations.
 """
 
 import random
@@ -10,8 +10,8 @@ from itertools import combinations
 
 import pytest
 
-from cactuspaths.census import canonical_key, enumerate_cacti, random_cactus
-from cactuspaths.graphs import validate_cactus
+from cactuspaths.census import all_graphs, canonical_key, enumerate_cacti, random_cactus
+from cactuspaths.graphs import BRIDGE, DisconnectedError, Graph, block_cut_tree, validate_cactus
 from cactuspaths.indices import cactus_wiener, wiener
 
 nx = pytest.importorskip("networkx")
@@ -50,3 +50,31 @@ def test_canonical_key_agrees_with_networkx_isomorphism():
     for g, h in combinations(graphs, 2):
         same_key = canonical_key(g) == canonical_key(h)
         assert same_key == nx.is_isomorphic(to_nx(g), to_nx(h)), (g, h)
+
+
+def test_block_cut_tree_agrees_with_networkx():
+    rng = random.Random(1973)
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    for _ in range(100):
+        n = rng.randrange(1, 301)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        graphs.append(g.relabel(rng.sample(range(n), n)))
+    connected = 0
+    for g in graphs:
+        h = to_nx(g)
+        if not nx.is_connected(h):
+            with pytest.raises(DisconnectedError):
+                block_cut_tree(g)
+            continue
+        connected += 1
+        tree = block_cut_tree(g)
+        expected = sorted(sorted(tuple(sorted(e)) for e in comp) for comp in nx.biconnected_component_edges(h))
+        assert sorted(list(b.edges) for b in tree.blocks) == expected, g
+        assert tree.cut_vertices == set(nx.articulation_points(h)), g
+        bridges = sorted(b.edges[0] for b in tree.blocks if b.kind == BRIDGE)
+        assert bridges == sorted(tuple(sorted(e)) for e in nx.bridges(h)), g
+        for block, cuts in zip(tree.blocks, tree.incidence):
+            assert cuts == tuple(sorted(tree.cut_vertices & block.vertex_set)), g
+    assert connected > 1000
+    with pytest.raises(DisconnectedError):
+        block_cut_tree(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))

@@ -1,0 +1,50 @@
+"""Outputs pinned as sha256 digests, so that a rewrite of the block-cut tree
+or of the fixpoint drivers must reproduce them byte for byte.
+
+The digests were recorded with the edge-stack DFS that popped one edge at a
+time and with drivers that validated every graph three times per step.
+"""
+
+import hashlib
+import json
+import random
+
+from cactuspaths.census import enumerate_cacti, random_cactus
+from cactuspaths.graphs import validate_cactus
+from cactuspaths.transforms import maximize_to_fixpoint, minimize_to_fixpoint
+
+PROFILES_SHA256 = "92d16fb1400a267d164a1824525819b2eeb2a85f421f9ccbc842207496ed1aeb"
+HISTORIES_SHA256 = "1b200eeec207259cae363eededd1a6616c9d3a67b36c350e948caa386cf2ea31"
+
+
+def digest(objects):
+    h = hashlib.sha256()
+    for obj in objects:
+        h.update(json.dumps(obj, sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def relabeled_random_cacti(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, max_n + 1)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        yield g.relabel(rng.sample(range(n), n))
+
+
+def test_profiles_are_pinned():
+    census = (g for n in range(1, 9) for k in range((n - 1) // 2 + 1) for g in enumerate_cacti(n, k))
+    graphs = [*census, *relabeled_random_cacti(2024, 50, 300)]
+    assert digest(validate_cactus(g).to_json() for g in graphs) == PROFILES_SHA256
+
+
+def test_fixpoint_histories_are_pinned():
+    def histories():
+        for g in relabeled_random_cacti(77, 20, 60):
+            for driver in (maximize_to_fixpoint, minimize_to_fixpoint):
+                final, history = driver(g)
+                yield final.to_json()
+                yield [r.to_json() for r in history]
+
+    assert digest(histories()) == HISTORIES_SHA256

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cactuspaths import transforms
 from cactuspaths.census import canonical_key, random_cactus
 from cactuspaths.counting import count_paths
 from cactuspaths.families import (
@@ -276,3 +277,42 @@ def test_sliding_to_fixpoint_removes_all_bridges():
 def test_fixpoint_cap_fires():
     with pytest.raises(FixpointError):
         maximize_to_fixpoint(pseudo_friendship(12, 3), cap=1)
+
+
+# ---------------------------------------------------------------- work per step
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("driver", [maximize_to_fixpoint, minimize_to_fixpoint])
+def test_drivers_validate_and_count_each_graph_once(monkeypatch, driver):
+    validated = count_calls(monkeypatch, transforms, "validate_cactus")
+    counted = count_calls(monkeypatch, transforms, "cactus_path_count")
+    rng = random.Random(4)
+    for _ in range(15):
+        n = rng.randrange(3, 60)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        validated.clear()
+        counted.clear()
+        _, history = driver(g)
+        assert len(validated) <= len(history) + 1
+        assert len(counted) <= len(history) + 1
+
+
+def test_rules_validate_their_input_outside_a_driver(monkeypatch):
+    _, history = maximize_to_fixpoint(TRIANGLE_PENDANT)
+    with pytest.raises(FixpointError):
+        maximize_to_fixpoint(pseudo_friendship(12, 3), cap=1)
+    validated = count_calls(monkeypatch, transforms, "validate_cactus")
+    assert bridge_slide(history[0].before) == history[0]
+    assert [args[0] for args in validated] == [history[0].before, history[0].after]
