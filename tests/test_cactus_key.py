@@ -1,0 +1,71 @@
+"""The block-cut-tree key that deduplicates the cactus census, against the
+generic canonical key."""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from cactuspaths import census as census_module
+from cactuspaths.census import cactus_key, canonical_key, enumerate_cacti, random_cactus
+from cactuspaths.families import complete_graph, cycle_graph, path_graph
+from cactuspaths.graphs import Graph, NotCactusError
+
+
+def classes(max_n):
+    for n in range(1, max_n + 1):
+        for k in range((n - 1) // 2 + 1):
+            yield n, k, enumerate_cacti(n, k)
+
+
+def test_census_keys_are_distinct_and_match_the_rings():
+    keys = set()
+    for n, k, census in classes(10):
+        rings = census_module._cactus_census[(n, k)][1]
+        assert len(rings) == len(census)
+        for g, r in zip(census, rings):
+            key = cactus_key(g)
+            assert census_module._code(n, r) == key, g
+            keys.add(key)
+    assert len(keys) == sum(len(c) for _, _, c in classes(10))
+
+
+def random_cacti(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, max_n + 1)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        yield g, g.relabel(rng.sample(range(n), n))
+
+
+def test_key_is_invariant_under_relabeling():
+    for g, h in random_cacti(2718, 300, 40):
+        assert cactus_key(g) == cactus_key(h), g
+
+
+def test_key_splits_like_the_canonical_key():
+    # small n, so that many pairs are isomorphic
+    graphs = [h for _, h in random_cacti(1414, 250, 9)]
+    graphs += [h for _, h in random_cacti(1732, 100, 40)]
+    equal = 0
+    for g, h in combinations(graphs, 2):
+        if (g.n, g.m) != (h.n, h.m):
+            continue
+        same = canonical_key(g) == canonical_key(h)
+        assert (cactus_key(g) == cactus_key(h)) == same, (g, h)
+        equal += same
+    assert equal > 100
+
+
+def test_key_examples():
+    assert cactus_key(Graph(1, frozenset())) == "()"
+    assert cactus_key(path_graph(2)) == "(()())"
+    assert cactus_key(cycle_graph(5)) == "(" + "()" * 5 + ")"
+    # a path with a cut-vertex centre, and one with a bridge centre
+    assert cactus_key(path_graph(3)) == "[(())(())]"
+    assert cactus_key(path_graph(4)) == "([(())][(())])"
+
+
+def test_non_cactus_is_refused():
+    with pytest.raises(NotCactusError):
+        cactus_key(complete_graph(4))

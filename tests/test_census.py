@@ -152,8 +152,9 @@ def test_census_after_clear_caches_equals_the_one_before():
 
 
 def test_census_guard_ignores_smaller_censuses():
-    # a fresh interpreter starts with every census uncached; the guard must
-    # count the 326 classes of (10, 3) only, not those of the censuses below it
+    # a fresh interpreter starts with every census uncached; the guard bounds
+    # each census that (10, 3) is grown from on its own (the largest has 65
+    # classes), not their sum
     code = "from cactuspaths.census import enumerate_cacti; print(len(enumerate_cacti(10, 3, guard=400)))"
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run(

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -354,6 +355,20 @@ def test_budget_env_var(capsys, monkeypatch):
 def test_census_guard_exit_code(capsys):
     code, _, err = run(capsys, ["--guard", "3", "sweep", "--n", "8", "--k", "2"])
     assert code == EXIT_BUDGET and "guard" in err
+
+
+def test_census_guard_binds_every_census_read(capsys):
+    # each census here is grown from hundreds of smaller ones, most of them
+    # far over the guard: the first one over it must stop the command
+    for argv in (
+        ["verify", "--n", "1200", "--k", "0"],
+        ["sweep", "--n", "1200", "--k", "0"],
+        ["verify", "--n", "30", "--k", "14"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["--guard", "5", *argv])
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == EXIT_BUDGET and out == "" and "guard 5" in err, argv
 
 
 def test_bad_config_rejected(capsys):

@@ -2,7 +2,7 @@
 
 networkx is not a dependency of the package; this module is skipped without
 it.  It checks the block-cut tree, the Wiener index (brute force and cactus
-pass) and the canonical key against networkx's own implementations.
+pass) and both canonical keys against networkx's own implementations.
 """
 
 import random
@@ -10,7 +10,13 @@ from itertools import combinations
 
 import pytest
 
-from cactuspaths.census import all_graphs, canonical_key, enumerate_cacti, random_cactus
+from cactuspaths.census import (
+    all_graphs,
+    cactus_key,
+    canonical_key,
+    enumerate_cacti,
+    random_cactus,
+)
 from cactuspaths.graphs import BRIDGE, DisconnectedError, Graph, block_cut_tree, validate_cactus
 from cactuspaths.indices import cactus_wiener, wiener
 
@@ -48,8 +54,9 @@ def test_canonical_key_agrees_with_networkx_isomorphism():
     graphs = list(census(7))
     graphs += [g.relabel(rng.sample(range(g.n), g.n)) for g in graphs]
     for g, h in combinations(graphs, 2):
-        same_key = canonical_key(g) == canonical_key(h)
-        assert same_key == nx.is_isomorphic(to_nx(g), to_nx(h)), (g, h)
+        isomorphic = nx.is_isomorphic(to_nx(g), to_nx(h))
+        assert (canonical_key(g) == canonical_key(h)) == isomorphic, (g, h)
+        assert (cactus_key(g) == cactus_key(h)) == isomorphic, (g, h)
 
 
 def test_block_cut_tree_agrees_with_networkx():
