@@ -287,7 +287,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7+ caps int/str at 4,300 digits
+    # Python 3.10.7+ caps int/str conversion at 4,300 digits; lifted while
+    # main runs, so long counts print, and restored for in-process callers
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
         config = RunConfig(
@@ -303,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, TransformError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

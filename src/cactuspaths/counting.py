@@ -87,6 +87,8 @@ def count_paths_between(g: Graph, x: int, y: int, budget: int | None = None) -> 
     """Number of simple x-y paths in g, by exhaustive extension."""
     if x == y:
         raise ValueError("endpoints must be distinct")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError("vertex out of range")
     limit = work_budget(budget)
     masks = g.adjacency_masks
     target = 1 << y

@@ -158,29 +158,43 @@ class FamilySpec:
 FAMILY_NAMES = ("path", "cycle", "star", "chain", "ptc", "pfg", "bsg", "end_triangle")
 
 
+MAX_FAMILY_VERTICES = 10**6
+
+
 def build_family(spec: FamilySpec) -> Graph:
+    """The named family, refused with ValueError when its vertex count,
+    worked out from the spec alone, is over MAX_FAMILY_VERTICES, so an
+    oversized request allocates nothing."""
     name = spec.family
-    if name == "path":
-        return path_graph(_need(spec.n, "n"))
-    if name == "cycle":
-        return cycle_graph(_need(spec.n, "n"))
-    if name == "star":
-        return star_graph(_need(spec.n, "n"))
     if name == "chain":
         if not spec.lengths:
             raise ValueError("chain needs --lengths")
+        size = sum(length - 1 for length in spec.lengths) + 1
+    elif name == "end_triangle":
+        size = _need(spec.tree_n, "tree_n") + 2 * len(spec.attach)
+    elif name in FAMILY_NAMES:
+        size = _need(spec.n, "n")
+    else:
+        raise ValueError(f"unknown family {name!r}; choose one of {FAMILY_NAMES}")
+    if size > MAX_FAMILY_VERTICES:
+        raise ValueError(
+            f"{name} family with {size} vertices is over the limit of {MAX_FAMILY_VERTICES}"
+        )
+    if name == "path":
+        return path_graph(spec.n)
+    if name == "cycle":
+        return cycle_graph(spec.n)
+    if name == "star":
+        return star_graph(spec.n)
+    if name == "chain":
         return cycle_chain(list(spec.lengths))
     if name == "ptc":
-        return pseudo_triangle_chain(_need(spec.n, "n"), _need(spec.k, "k"))
+        return pseudo_triangle_chain(spec.n, _need(spec.k, "k"))
     if name == "pfg":
-        return pseudo_friendship(_need(spec.n, "n"), _need(spec.k, "k"))
+        return pseudo_friendship(spec.n, _need(spec.k, "k"))
     if name == "bsg":
-        return balanced_saw(_need(spec.n, "n"), _need(spec.k, "k"))
-    if name == "end_triangle":
-        return end_triangle_cactus(
-            _need(spec.tree_n, "tree_n"), list(spec.tree_edges), list(spec.attach)
-        )
-    raise ValueError(f"unknown family {name!r}; choose one of {FAMILY_NAMES}")
+        return balanced_saw(spec.n, _need(spec.k, "k"))
+    return end_triangle_cactus(spec.tree_n, list(spec.tree_edges), list(spec.attach))
 
 
 def _need(value, flag: str):

@@ -504,64 +504,14 @@ def is_cactus(g: Graph) -> bool:
         return False
 
 
-# Nodes of the cycle-incidence graph: ("cycle", block index) or ("vertex", v).
-CigNode = tuple[str, int]
-
-
-@dataclass(frozen=True)
-class CycleIncidenceGraph:
-    """Bipartite tree on the cycles and intersection vertices of a bridgeless
-    cactus; a cactus chain is exactly a profile whose tree here is a path."""
-
-    cycles: tuple[int, ...]
-    vertices: tuple[int, ...]
-    links: tuple[tuple[int, int], ...]  # (vertex, cycle block index) pairs
-
-    @cached_property
-    def nodes(self) -> tuple[CigNode, ...]:
-        return tuple(("vertex", v) for v in self.vertices) + tuple(
-            ("cycle", c) for c in self.cycles
-        )
-
-    @cached_property
-    def adjacency(self) -> dict[CigNode, tuple[CigNode, ...]]:
-        nbrs: dict[CigNode, list[CigNode]] = {node: [] for node in self.nodes}
-        for v, c in self.links:
-            nbrs[("vertex", v)].append(("cycle", c))
-            nbrs[("cycle", c)].append(("vertex", v))
-        return {node: tuple(sorted(ns)) for node, ns in nbrs.items()}
-
-    def degree(self, node: CigNode) -> int:
-        return len(self.adjacency[node])
-
-    @cached_property
-    def leaves(self) -> tuple[CigNode, ...]:
-        if len(self.nodes) <= 1:
-            return ()
-        return tuple(n for n in self.nodes if self.degree(n) == 1)
-
-    @property
-    def is_path(self) -> bool:
-        return all(self.degree(n) <= 2 for n in self.nodes)
-
-
-def cycle_incidence_graph(profile: CactusProfile) -> CycleIncidenceGraph:
-    """Restricted view of the block-cut tree for a bridgeless cactus."""
-    if profile.bridges:
-        raise GraphError("cycle_incidence_graph requires a bridgeless cactus")
-    cycles = profile.cycle_blocks
-    vertices = tuple(sorted(profile.intersection_vertices))
-    links = []
-    for c in cycles:
-        for v in profile.tree.blocks[c].vertices:
-            if v in profile.intersection_vertices:
-                links.append((v, c))
-    return CycleIncidenceGraph(cycles, vertices, tuple(sorted(links)))
-
-
 def is_cactus_chain(profile: CactusProfile) -> bool:
-    """True iff the cactus is bridgeless and its cycle-incidence graph is a
-    path (single cycles and the one-vertex graph count as chains)."""
+    """True iff the cactus is bridgeless and its block-cut tree is a path:
+    every block has at most two cut vertices and every cut vertex lies on
+    at most two blocks (a single cycle and the one-vertex graph count as
+    chains)."""
     if profile.bridges:
         return False
-    return cycle_incidence_graph(profile).is_path
+    tree = profile.tree
+    return all(len(cuts) <= 2 for cuts in tree.incidence) and all(
+        len(ids) <= 2 for ids in tree.blocks_of_cut_vertex.values()
+    )

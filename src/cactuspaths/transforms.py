@@ -5,7 +5,7 @@ the same (n, k) cactus class, and changes the subpath number with a strict,
 fixed sign:
 
   bridge_slide            pn up    absorbs a bridge into an adjacent cycle
-  chain_straighten        pn up    lowers branching of the cycle-incidence tree
+  chain_straighten        pn up    lowers branching of the block-cut tree
   shrink_interior_cycle   pn up    moves a vertex from an interior cycle to an end cycle
   balance_end_cycles      pn up    moves a vertex from the big end cycle to the small one
   cycle_to_triangle       pn down  expels a vertex from a long cycle onto a bridge
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 from .counting import cactus_path_count
 from .graphs import (
     Block,
+    BlockCutTree,
     CactusProfile,
-    CigNode,
     Graph,
-    cycle_incidence_graph,
     is_cactus_chain,
     validate_cactus,
 )
@@ -172,68 +171,67 @@ def bridge_slide(
     return _apply("bridge-slide", profile, removed=[(v, x)], added=[(u, x)])
 
 
-def _cig_node_order(node: CigNode) -> tuple[int, int]:
-    kind, payload = node
-    return (0 if kind == "vertex" else 1, payload)
+def _components_without(tree: BlockCutTree, x: int) -> list[list[int]]:
+    """The components of the block-cut tree without node x, one per
+    neighbour y of x, each listed breadth-first from y.  Nodes are numbered
+    as in tree.rooted: blocks 0..B-1, then the cut vertices in increasing
+    order."""
+    nblocks = len(tree.blocks)
+    node = tree.rooted.node
+    cuts = sorted(tree.cut_vertices)
 
+    def neighbors(y: int):
+        if y < nblocks:
+            return [node[v] for v in tree.incidence[y]]
+        return tree.blocks_of_cut_vertex[cuts[y - nblocks]]
 
-def _component_nodes(
-    adj: dict[CigNode, tuple[CigNode, ...]], banned: CigNode
-) -> list[list[CigNode]]:
-    seen: set[CigNode] = {banned}
-    comps: list[list[CigNode]] = []
-    for start in sorted(adj, key=_cig_node_order):
-        if start in seen:
-            continue
+    seen = {x}
+    comps = []
+    for start in neighbors(x):
         comp = [start]
         seen.add(start)
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for other in adj[node]:
-                if other not in seen:
-                    seen.add(other)
-                    comp.append(other)
-                    stack.append(other)
-        comps.append(sorted(comp, key=_cig_node_order))
+        for y in comp:  # grows while it is read
+            for z in neighbors(y):
+                if z not in seen:
+                    seen.add(z)
+                    comp.append(z)
+        comps.append(comp)
     return comps
 
 
 def chain_straighten(g: Graph) -> TransformResult:
-    """Detach a cycle from a branch point of the cycle-incidence tree and
-    hang it on the far end of a smallest thread, strictly increasing pn."""
+    """Detach a cycle from a branch point of the block-cut tree and hang it
+    on the far end of a smallest thread, strictly increasing pn."""
     profile = _profile(g)
     if profile.bridges:
         raise TransformError("chain_straighten needs a bridgeless cactus")
-    cig = cycle_incidence_graph(profile)
-    if cig.is_path:
+    if is_cactus_chain(profile):
         raise TransformError("graph is already a cactus chain")
-    adj = cig.adjacency
-    branch_nodes = sorted(
-        (node for node in cig.nodes if cig.degree(node) >= 3), key=_cig_node_order
-    )
+    tree = profile.tree
+    blocks = tree.blocks
+    nblocks = len(blocks)
+    cuts = sorted(tree.cut_vertices)
+    degree = [len(c) for c in tree.incidence]
+    degree += [len(tree.blocks_of_cut_vertex[v]) for v in cuts]
 
-    def is_thread(comp: list[CigNode]) -> bool:
-        return all(cig.degree(x) < 3 for x in comp)
+    def order(x: int) -> tuple[bool, int]:  # cut vertices first, then blocks
+        return (x < nblocks, x)
+
+    def is_thread(comp: list[int]) -> bool:
+        return all(degree[x] < 3 for x in comp)
 
     chosen = None
-    for t in branch_nodes:
-        comps = _component_nodes(adj, t)
+    for t in sorted((x for x, d in enumerate(degree) if d >= 3), key=order):
+        comps = _components_without(tree, t)
         if sum(1 for c in comps if not is_thread(c)) <= 1:
             chosen = (t, comps)
             break
     assert chosen is not None  # a deepest branch node always qualifies
     t, comps = chosen
 
-    def g_vertices(comp: list[CigNode]) -> frozenset[int]:
-        verts: set[int] = set()
-        for kind, payload in comp:
-            if kind == "cycle":
-                verts.update(profile.tree.blocks[payload].vertex_set)
-        return frozenset(verts)
-
-    def comp_key(comp: list[CigNode]) -> tuple[int, tuple[int, int]]:
-        return (len(g_vertices(comp)), _cig_node_order(comp[0]))
+    def comp_key(comp: list[int]) -> tuple[int, tuple[bool, int]]:
+        size = len(set().union(*(blocks[x].vertices for x in comp if x < nblocks)))
+        return (size, min(map(order, comp)))
 
     threads = sorted((c for c in comps if is_thread(c)), key=comp_key)
     others = [c for c in comps if not is_thread(c)]
@@ -244,26 +242,17 @@ def chain_straighten(g: Graph) -> TransformResult:
         rest = [c for c in comps if c is not t1 and c is not threads[1]]
         tk = max(rest, key=comp_key)
 
-    tk_set = set(map(tuple, tk))
-    if t[0] == "vertex":
-        u = t[1]
-        cycle_node = next(
-            other for other in adj[t] if tuple(other) in tk_set
-        )
-        c_idx = cycle_node[1]
+    # tk[0] is the neighbour of t in tk: the block to detach when t is a cut
+    # vertex, else the cut vertex at which tk hangs from the block t
+    if t >= nblocks:
+        u, c_idx = cuts[t - nblocks], tk[0]
     else:
-        u_node = next(other for other in adj[t] if tuple(other) in tk_set)
-        u = u_node[1]
-        c_idx = min(
-            other[1]
-            for other in adj[u_node]
-            if other != t and tuple(other) in tk_set
-        )
-    v, w = _ring_neighbors(profile.tree.blocks[c_idx], u)
+        u = cuts[tk[0] - nblocks]
+        c_idx = min(i for i in tree.blocks_of_cut_vertex[u] if i != t)
+    v, w = _ring_neighbors(blocks[c_idx], u)
 
-    leaf_cycle = next(node for node in t1 if cig.degree(node) == 1)
-    leaf_block = profile.tree.blocks[leaf_cycle[1]]
-    z = min(x for x in leaf_block.vertex_set if g.degree(x) == 2)
+    leaf = min(x for x in t1 if degree[x] == 1)  # a cut vertex has degree >= 2
+    z = min(x for x in blocks[leaf].vertices if g.degree(x) == 2)
     return _apply(
         "chain-straighten", profile, removed=[(u, v), (u, w)], added=[(z, v), (z, w)]
     )
@@ -281,47 +270,27 @@ def shrink_interior_cycle(g: Graph) -> TransformResult:
     cycle of length >= 4 and splice it into the end cycle on the smaller
     side, strictly increasing pn."""
     profile = _chain_profile(g)
-    targets = [
-        i for i in profile.interior_cycles if len(profile.tree.blocks[i]) >= 4
-    ]
+    blocks = profile.tree.blocks
+    targets = [i for i in profile.interior_cycles if len(blocks[i]) >= 4]
     if not targets:
         raise TransformError("every interior cycle is already a triangle")
     c_idx = targets[0]
-    blk = profile.tree.blocks[c_idx]
+    blk = blocks[c_idx]
     u = min(v for v in blk.vertex_set if v not in profile.intersection_vertices)
     v, w = _ring_neighbors(blk, u)
 
-    removed_c = blk.vertex_set
-    comps: list[set[int]] = []
-    seen: set[int] = set(removed_c)
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    assert len(comps) == 2, "an interior cycle splits a chain into two sides"
-    comps.sort(key=lambda c: (len(c), min(c)))
-    side = comps[0]
+    sides = [
+        set().union(*(blocks[x].vertices for x in comp if x < len(blocks)))
+        - blk.vertex_set
+        for comp in _components_without(profile.tree, c_idx)
+    ]
+    assert len(sides) == 2, "an interior cycle splits a chain into two sides"
+    side = min(sides, key=lambda c: (len(c), min(c)))
     end_block = next(
-        profile.tree.blocks[i]
-        for i in profile.end_cycles
-        if profile.tree.blocks[i].vertex_set & side
+        blocks[i] for i in profile.end_cycles if blocks[i].vertex_set & side
     )
-    a = min(
-        x
-        for x in end_block.vertex_set
-        if x in side and x not in profile.intersection_vertices
-    )
-    b = min(g.adjacency[a])
+    a = min(x for x in end_block.vertices if x not in profile.intersection_vertices)
+    b = min(_ring_neighbors(end_block, a))
     return _apply(
         "shrink",
         profile,

@@ -1,8 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from cactuspaths.census import random_cactus
 from cactuspaths.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_VERIFY, main
 from cactuspaths.families import (
+    MAX_FAMILY_VERTICES,
     complete_graph,
     cycle_chain,
     pseudo_friendship,
@@ -241,18 +247,73 @@ def test_empty_graph_is_the_trivial_cactus(capsys, tmp_path):
     assert code == EXIT_INVALID and "needs a bridge" in err
 
 
+def decimal(value: int) -> str:
+    """str(value), past the interpreter's int/str digit limit if it has one."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_counts_past_the_int_string_limit(capsys, tmp_path):
     # Python 3.10.7+ refuses by default to print an int of over 4,300 digits
     chain = tmp_path / "chain.edges"
     chain.write_text(to_edge_list_text(cycle_chain([3] * 15000)))  # n = 30,001
     code, out, err = run(capsys, ["pn", "--in", str(chain)])
     assert (code, err) == (EXIT_OK, "")
-    assert out == f"{ptc_summation(30001, 15000)}\n"
+    assert out == decimal(ptc_summation(30001, 15000)) + "\n"
     pfg = tmp_path / "pfg.edges"
     pfg.write_text(to_edge_list_text(pseudo_friendship(11201, 5600)))  # 6^5600 subtrees
     code, out, err = run(capsys, ["indices", str(pfg)])
     assert (code, err) == (EXIT_OK, "")
     assert len(json.loads(out)["subtrees"]) > 4300
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit before Python 3.10.7"
+)
+def test_main_restores_the_int_string_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for argv, expected in (
+            (["pn", "--family", "cycle", "--n", "5"], EXIT_OK),
+            (["pn", "--family", "cycle", "--n", "2"], EXIT_INVALID),
+        ):
+            assert run(capsys, argv)[0] == expected
+            assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_oversized_families_are_refused_before_allocating():
+    # at 1 GiB of address space, building any of these families fails
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    huge = "99999999999999999999"
+    for argv in (
+        ["family", "cycle", "--n", huge],
+        ["family", "chain", "--lengths", "100000000000"],
+        ["pn", "--family", "cycle", "--n", huge],
+        ["profile", "--family", "ptc", "--n", huge, "--k", "3"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cactuspaths", *argv],
+            env=env,
+            preexec_fn=cap_memory,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_INVALID, ""), argv
+        assert f"over the limit of {MAX_FAMILY_VERTICES}" in proc.stderr, argv
 
 
 def test_indices_non_cactus_is_bounded_by_the_budget(capsys, tmp_path):

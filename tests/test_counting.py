@@ -72,6 +72,12 @@ def test_pair_rejects_equal_endpoints():
         count_paths_between(cycle_graph(4), 2, 2)
 
 
+@pytest.mark.parametrize("x, y", [(0, 7), (7, 0), (-1, 2)])
+def test_pair_rejects_out_of_range_endpoints(x, y):
+    with pytest.raises(ValueError, match="vertex out of range"):
+        count_paths_between(cycle_graph(5), x, y)
+
+
 # ---------------------------------------------------------------- budget guard
 
 

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cactuspaths.census import canonical_key
 from cactuspaths.families import (
+    MAX_FAMILY_VERTICES,
     FamilySpec,
     balanced_saw,
     build_family,
@@ -171,3 +172,15 @@ def test_build_family_dispatch():
         build_family(FamilySpec("nope", n=3))
     with pytest.raises(ValueError):
         build_family(FamilySpec("chain"))
+
+
+def test_build_family_refuses_oversized_specs():
+    top = MAX_FAMILY_VERTICES
+    for spec in (
+        FamilySpec("path", n=top + 1),
+        FamilySpec("pfg", n=top + 1, k=1),
+        FamilySpec("chain", lengths=(top // 2 + 2, top // 2 + 1)),  # top + 2 vertices
+        FamilySpec("end_triangle", tree_n=top - 1, attach=(0,)),
+    ):
+        with pytest.raises(ValueError, match="over the limit"):
+            build_family(spec)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +17,11 @@ from cactuspaths.graphs import (
     DisconnectedError,
     DuplicateEdgeError,
     Graph,
-    GraphError,
     MalformedLineError,
     NotCactusError,
     SelfLoopError,
     VertexRangeError,
     block_cut_tree,
-    cycle_incidence_graph,
     find_bridges,
     is_cactus,
     is_cactus_chain,
@@ -272,33 +272,31 @@ def test_profile_json_shape():
     assert all(b["kind"] == "cycle" for b in data["tree"]["blocks"])
 
 
-# ---------------------------------------------------------------- cycle-incidence graph
+# ---------------------------------------------------------------- cycle-incidence view
+# On a bridgeless cactus the block-cut tree is the cycle-incidence tree: its
+# blocks are the cycles and its cut vertices the intersection vertices.
 
 
 def test_cig_single_cycle():
-    cig = cycle_incidence_graph(validate_cactus(cycle_graph(6)))
-    assert len(cig.nodes) == 1 and not cig.links and cig.is_path
+    p = validate_cactus(cycle_graph(6))
+    assert len(p.tree.blocks) == 1 and not p.tree.cut_vertices
+    assert p.tree.incidence == ((),) and is_cactus_chain(p)
 
 
 def test_cig_ptc93_is_path():
-    cig = cycle_incidence_graph(validate_cactus(pseudo_triangle_chain(9, 3)))
-    assert len(cig.cycles) == 3 and len(cig.vertices) == 2
-    assert cig.is_path
-    assert all(node[0] == "cycle" for node in cig.leaves)
+    p = validate_cactus(pseudo_triangle_chain(9, 3))
+    tree = p.tree
+    assert len(tree.blocks) == 3 and tree.cut_vertices == p.intersection_vertices == {3, 5}
+    assert is_cactus_chain(p)
+    assert sorted(len(c) for c in tree.incidence) == [1, 1, 2]  # two leaf cycles
+    assert all(len(ids) == 2 for ids in tree.blocks_of_cut_vertex.values())
 
 
 def test_cig_three_triangles_star():
-    g = pseudo_friendship(7, 3)
-    cig = cycle_incidence_graph(validate_cactus(g))
-    assert cig.vertices == (0,)
-    assert cig.degree(("vertex", 0)) == 3
-    assert not cig.is_path
-
-
-def test_cig_rejects_bridges():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    with pytest.raises(GraphError):
-        cycle_incidence_graph(validate_cactus(g))
+    p = validate_cactus(pseudo_friendship(7, 3))
+    assert p.tree.cut_vertices == {0}
+    assert p.tree.blocks_of_cut_vertex[0] == (0, 1, 2)
+    assert not is_cactus_chain(p)
 
 
 def test_cig_leaves_are_cycles_census():
@@ -308,8 +306,10 @@ def test_cig_leaves_are_cycles_census():
                 p = validate_cactus(g)
                 if p.bridges:
                     continue
-                cig = cycle_incidence_graph(p)
-                assert all(node[0] == "cycle" for node in cig.leaves)
+                tree = p.tree
+                assert all(b.kind == CYCLE for b in tree.blocks)
+                assert tree.cut_vertices == p.intersection_vertices
+                assert all(len(ids) >= 2 for ids in tree.blocks_of_cut_vertex.values())
 
 
 def test_chain_predicate_matches_path_definition():
@@ -319,6 +319,33 @@ def test_chain_predicate_matches_path_definition():
     assert not is_cactus_chain(star)
     bridged = validate_cactus(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
     assert not is_cactus_chain(bridged)
+
+
+def is_cycle_chain(p):
+    """The definition: the cycles can be ordered so that consecutive cycles
+    share exactly one vertex and all other pairs are disjoint."""
+    rings = [p.tree.blocks[i].vertex_set for i in p.cycle_blocks]
+    for order in permutations(rings):
+        if all(
+            len(a & b) == (1 if j == i + 1 else 0)
+            for i, a in enumerate(order)
+            for j, b in enumerate(order)
+            if i < j
+        ):
+            return True
+    return False
+
+
+def test_chain_predicate_matches_the_definition_on_the_census():
+    chains = 0
+    for n in range(1, 11):
+        for k in range((n - 1) // 2 + 1):
+            for g in enumerate_cacti(n, k):
+                p = validate_cactus(g)
+                expected = not p.bridges and is_cycle_chain(p)
+                assert is_cactus_chain(p) == expected, g
+                chains += expected
+    assert chains == 1 + 8 + 12 + 21 + 4  # K_1, then the chains with k = 1..4
 
 
 # ---------------------------------------------------------------- immutability

@@ -2,7 +2,8 @@
 
 networkx is not a dependency of the package; this module is skipped without
 it.  It checks the block-cut tree, the Wiener index (brute force and cactus
-pass) and both canonical keys against networkx's own implementations.
+pass), both canonical keys and the path enumerators against networkx's own
+implementations.
 """
 
 import random
@@ -14,9 +15,11 @@ from cactuspaths.census import (
     all_graphs,
     cactus_key,
     canonical_key,
+    connected_graphs,
     enumerate_cacti,
     random_cactus,
 )
+from cactuspaths.counting import count_paths, count_paths_between
 from cactuspaths.graphs import BRIDGE, DisconnectedError, Graph, block_cut_tree, validate_cactus
 from cactuspaths.indices import cactus_wiener, wiener
 
@@ -85,3 +88,20 @@ def test_block_cut_tree_agrees_with_networkx():
     assert connected > 1000
     with pytest.raises(DisconnectedError):
         block_cut_tree(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+
+
+def test_path_counts_agree_with_networkx_simple_paths():
+    rng = random.Random(1736)
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    for _ in range(20):
+        n = rng.randrange(1, 13)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        graphs.append(g.relabel(rng.sample(range(n), n)))
+    for g in graphs:
+        h = to_nx(g)
+        total = g.n
+        for x, y in combinations(range(g.n), 2):
+            expected = sum(1 for _ in nx.all_simple_paths(h, x, y))
+            assert count_paths_between(g, x, y) == count_paths_between(g, y, x) == expected, (g, x, y)
+            total += expected
+        assert count_paths(g) == total, g

@@ -89,11 +89,11 @@ def test_chain_straighten_four_triangles():
 
 
 def test_chain_straighten_reduces_branching():
-    from cactuspaths.graphs import cycle_incidence_graph
-
     def branch_degree_sum(g):
-        cig = cycle_incidence_graph(validate_cactus(g))
-        return sum(cig.degree(x) for x in cig.nodes if cig.degree(x) >= 3)
+        tree = validate_cactus(g).tree
+        degrees = [len(c) for c in tree.incidence]
+        degrees += [len(ids) for ids in tree.blocks_of_cut_vertex.values()]
+        return sum(d for d in degrees if d >= 3)
 
     g = pseudo_friendship(9, 4)
     r = chain_straighten(g)
