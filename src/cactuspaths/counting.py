@@ -84,32 +84,36 @@ def count_paths(g: Graph, budget: int | None = None) -> int:
 
 
 def count_paths_between(g: Graph, x: int, y: int, budget: int | None = None) -> int:
-    """Number of simple x-y paths in g, by exhaustive extension."""
+    """Number of simple x-y paths in g, by exhaustive extension: a depth-first
+    search over g.adjacency that charges one budget step per extension."""
     if x == y:
         raise ValueError("endpoints must be distinct")
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError("vertex out of range")
     limit = work_budget(budget)
-    masks = g.adjacency_masks
-    target = 1 << y
+    adj = g.adjacency
+    on_path = bytearray(g.n)
+    on_path[x] = 1
+    path = [(x, iter(adj[x]))]  # each path vertex with the neighbours left to try
     steps = 0
     total = 0
-    stack = [(x, 1 << x)]
-    while stack:
-        v, visited = stack.pop()
-        ext = masks[v] & ~visited
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
+    while path:
+        for u in path[-1][1]:
+            if on_path[u]:
+                continue
             steps += 1
             if steps > limit:
                 raise BudgetExceededError(
                     f"path enumeration exceeded {limit} extension steps"
                 )
-            if bit == target:
+            if u == y:
                 total += 1
                 continue  # a simple path cannot revisit y later
-            stack.append((bit.bit_length() - 1, visited | bit))
+            on_path[u] = 1
+            path.append((u, iter(adj[u])))
+            break
+        else:  # every extension of the path is done: backtrack
+            on_path[path.pop()[0]] = 0
     return total
 
 

@@ -6,8 +6,10 @@ that every iteration order in the package is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 
 class GraphError(Exception):
@@ -243,6 +245,9 @@ class Block:
         return len(self.vertices)
 
 
+_edges_of = attrgetter("edges")  # the key that orders BlockCutTree.blocks
+
+
 def _cycle_order(vertices: set[int], edges: list[tuple[int, int]]) -> tuple[int, ...]:
     """Canonical traversal of a cycle block: start at the minimum vertex and
     step first to its smaller neighbor."""
@@ -416,7 +421,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
             blocks.append(Block(CYCLE, _cycle_order(vertices, edges), edges))
         else:
             blocks.append(Block(OTHER, tuple(sorted(vertices)), edges))
-    blocks.sort(key=lambda b: b.edges)
+    blocks.sort(key=_edges_of)
     incidence = tuple(tuple(sorted(v for v in b.vertices if v in cut)) for b in blocks)
     return BlockCutTree(tuple(blocks), frozenset(cut), incidence)
 
@@ -460,20 +465,30 @@ class CactusProfile:
         }
 
 
+def _refuse_non_cactus(blocks) -> None:
+    """Raise NotCactusError for the first block that is neither an edge nor
+    a cycle."""
+    for b in blocks:
+        if b.kind == OTHER:
+            raise NotCactusError(
+                f"block on vertices {b.vertices} is neither an edge nor a cycle"
+            )
+
+
+def _check_rank(k: int, g: Graph) -> None:
+    if k != g.m - g.n + (1 if g.n else 0):
+        raise AssertionError("cycle rank mismatch in cactus decomposition")
+
+
 def validate_cactus(g: Graph) -> CactusProfile:
     """Check the cactus condition (every block an edge or a cycle) and build
     the profile: cycle rank, bridges, end/interior cycle classification and
     intersection vertices."""
     tree = block_cut_tree(g)
-    for b in tree.blocks:
-        if b.kind == OTHER:
-            raise NotCactusError(
-                f"block on vertices {b.vertices} is neither an edge nor a cycle"
-            )
+    _refuse_non_cactus(tree.blocks)
     cycle_ids = [i for i, b in enumerate(tree.blocks) if b.kind == CYCLE]
     k = len(cycle_ids)
-    if k != g.m - g.n + (1 if g.n else 0):
-        raise AssertionError("cycle rank mismatch in cactus decomposition")
+    _check_rank(k, g)
     bridges = tuple(b.edges[0] for b in tree.blocks if b.kind == BRIDGE)
     end_cycles = []
     interior_cycles = []
@@ -493,6 +508,134 @@ def validate_cactus(g: Graph) -> CactusProfile:
         end_cycles=tuple(end_cycles),
         interior_cycles=tuple(interior_cycles),
         intersection_vertices=intersection,
+    )
+
+
+def _block_of_edge(tree: BlockCutTree, u: int, v: int) -> int:
+    """The block holding the edge uv."""
+    rooted = tree.rooted
+    nblocks = len(tree.blocks)
+    a, b = rooted.node[u], rooted.node[v]
+    if a < nblocks:
+        return a
+    if b < nblocks:
+        return b
+    # two cut vertices share one block: the parent of both, or the parent of
+    # one that is a child of the other
+    pa, pb = rooted.parent[a], rooted.parent[b]
+    return pa if pa == pb or rooted.parent[pa] == b else pb
+
+
+def patch_cactus(
+    profile: CactusProfile,
+    after: Graph,
+    removed: tuple[tuple[int, int], ...],
+    added: tuple[tuple[int, int], ...],
+) -> CactusProfile:
+    """validate_cactus(after), where `after` is profile.graph with the edges
+    `removed` taken out and `added` put in (sorted pairs, at least one edge
+    in all), decomposing only the part of the block-cut tree that the change
+    touches; it raises what validate_cactus(after) raises.
+
+    That part is S, the smallest subtree of tree.rooted holding the block of
+    every removed edge and the node of every endpoint of an added edge.  Each
+    component of the tree outside S hangs from S at one vertex, so the blocks
+    outside S are blocks of `after`, `after` is connected exactly when
+    H = (edges of S's blocks - removed + added) is, and the other blocks of
+    `after` are the blocks of H.  Only a vertex of H can change its cut status
+    or the number of cycles it lies on, and only a block of H its incidence
+    or end/interior class.
+    """
+    tree = profile.tree
+    rooted = tree.rooted
+    parent, depth = rooted.parent, rooted.depth
+    nblocks = len(tree.blocks)
+
+    terminals = [_block_of_edge(tree, u, v) for u, v in removed]
+    terminals += [rooted.node[x] for e in added for x in e]
+    top = terminals[0]
+    for t in terminals[1:]:  # top becomes the lowest common ancestor
+        while t != top:
+            if depth[t] < depth[top]:
+                t, top = top, t
+            t = parent[t]
+    region = {top}
+    for t in terminals:
+        while t not in region:
+            region.add(t)
+            t = parent[t]
+    gone = sorted(x for x in region if x < nblocks)
+
+    # H relabelled monotonically onto 0..h-1, so that each cycle keeps its
+    # start and direction and the blocks keep their edge order
+    edges = {e for i in gone for e in tree.blocks[i].edges}
+    edges.difference_update(removed)
+    edges.update(added)
+    verts = sorted({x for i in gone for x in tree.blocks[i].vertices})
+    index = {x: j for j, x in enumerate(verts)}
+    local = block_cut_tree(
+        Graph(len(verts), frozenset((index[u], index[v]) for u, v in edges))
+    )
+    fresh = [
+        Block(
+            b.kind,
+            tuple(verts[x] for x in b.vertices),
+            tuple((verts[u], verts[v]) for u, v in b.edges),
+        )
+        for b in local.blocks
+    ]
+    _refuse_non_cactus(fresh)
+    k = profile.k + sum(b.kind == CYCLE for b in fresh)
+    k -= sum(tree.blocks[i].kind == CYCLE for i in gone)
+    _check_rank(k, after)
+
+    # a vertex of H that lies on a block outside S keeps that block: it stays
+    # a cut vertex and keeps the cycles among those blocks
+    cuts = {verts[j] for j in local.cut_vertices}
+    cycles_at: dict[int, int] = {}
+    for x in tree.cut_vertices.intersection(verts):
+        kept = [i for i in tree.blocks_of_cut_vertex[x] if i not in region]
+        if kept:
+            cuts.add(x)
+            cycles_at[x] = sum(tree.blocks[i].kind == CYCLE for i in kept)
+    for b in fresh:
+        if b.kind == CYCLE:
+            for x in b.vertices:
+                cycles_at[x] = cycles_at.get(x, 0) + 1
+
+    # splice H's blocks in among the others, which are still sorted by edges;
+    # is_end is None for a bridge, else whether the cycle is an end cycle
+    blocks = list(tree.blocks)
+    incidence = list(tree.incidence)
+    is_end: list[bool | None] = [None] * nblocks
+    for i in profile.end_cycles:
+        is_end[i] = True
+    for i in profile.interior_cycles:
+        is_end[i] = False
+    for i in reversed(gone):
+        del blocks[i], incidence[i], is_end[i]
+    j = 0
+    for b in fresh:  # in edge order, so each lands after the one before
+        j = bisect_left(blocks, b.edges, lo=j, key=_edges_of)
+        cuts_on = tuple(sorted(x for x in b.vertices if x in cuts))
+        blocks.insert(j, b)
+        incidence.insert(j, cuts_on)
+        # a cycle vertex has degree > 2 exactly when it is a cut vertex
+        is_end.insert(j, len(cuts_on) <= 1 if b.kind == CYCLE else None)
+    return CactusProfile(
+        graph=after,
+        tree=BlockCutTree(
+            tuple(blocks),
+            tree.cut_vertices.difference(verts).union(cuts),
+            tuple(incidence),
+        ),
+        k=k,
+        bridges=tuple(b.edges[0] for b in blocks if b.kind == BRIDGE),
+        end_cycles=tuple(i for i, e in enumerate(is_end) if e is True),
+        interior_cycles=tuple(i for i, e in enumerate(is_end) if e is False),
+        intersection_vertices=profile.intersection_vertices.difference(verts).union(
+            x for x, c in cycles_at.items() if c >= 2
+        ),
     )
 
 

@@ -16,8 +16,11 @@ valid labels so results are reproducible; the monotonicity holds for every
 valid choice, so callers may also pass choices explicitly.
 
 The fixpoint drivers thread one profile per step: the profile and pn that a
-step computes for the graph it builds are the ones the next step reads, so
-each step validates one graph and counts its pn once.
+step computes for the graph it builds are the ones the next step reads.  A
+driver validates its input once; each step derives the profile of the graph
+it builds from the one before with graphs.patch_cactus, which re-decomposes
+only the part of the block-cut tree that the step's edges touch, and counts
+the new pn once.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .graphs import (
     CactusProfile,
     Graph,
     is_cactus_chain,
+    patch_cactus,
     validate_cactus,
 )
 
@@ -118,7 +122,7 @@ def _apply(rule: str, profile: CactusProfile, removed, added) -> TransformResult
     if walk is None or walk.profile is not profile:
         walk = _Walk(profile)  # a rule called on its own: nothing to move on
     pn_before = walk.pn if walk.pn is not None else cactus_path_count(profile)
-    walk.profile = validate_cactus(after)
+    walk.profile = patch_cactus(profile, after, removed, added)
     walk.pn = cactus_path_count(walk.profile)
     return TransformResult(
         rule=rule,
@@ -390,8 +394,9 @@ RULES = {
 
 
 def _fixpoint(g: Graph, cap: int | None, pick) -> tuple[Graph, list[TransformResult]]:
-    """Apply the rule pick(profile) names until it names none.  Each step
-    validates one graph, the one it builds, and counts its pn once."""
+    """Apply the rule pick(profile) names until it names none.  Only g is
+    validated; each step patches the profile of the graph it builds and
+    counts its pn once."""
     walk = _Walk(validate_cactus(g))
     limit = cap if cap is not None else g.n + walk.profile.k + g.m
     history: list[TransformResult] = []

@@ -1,6 +1,12 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from itertools import permutations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +102,57 @@ def test_budget_charges_each_start_vertex():
     assert count_paths(path_graph(3), budget=9) == 6
     with pytest.raises(BudgetExceededError):
         count_paths(path_graph(3), budget=8)
+
+
+def test_pair_budget_is_one_step_per_extension():
+    # the smallest passing budget for every ordered pair, as charged by the
+    # search over n-bit vertex masks that this one replaced
+    p4 = {
+        (0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 0): 3, (1, 2): 2, (1, 3): 3,
+        (2, 0): 3, (2, 1): 2, (2, 3): 3, (3, 0): 3, (3, 1): 2, (3, 2): 1,
+    }  # fmt: skip
+    cases = (
+        (path_graph(4), p4),
+        (cycle_graph(5), dict.fromkeys(permutations(range(5), 2), 5)),
+        (complete_graph(4), dict.fromkeys(permutations(range(4), 2), 9)),
+    )
+    for g, least in cases:
+        for (x, y), b in least.items():
+            assert count_paths_between(g, x, y, budget=b) >= 1
+            if b > 1:
+                with pytest.raises(BudgetExceededError):
+                    count_paths_between(g, x, y, budget=b - 1)
+
+
+def test_pair_budget_bounds_long_paths():
+    # n-bit masks per vertex would take about 2.5 GB here; a 1 GiB address
+    # space and a small budget must still end the search at once
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = (
+        "import time\n"
+        "from cactuspaths.counting import BudgetExceededError, count_paths_between\n"
+        "from cactuspaths.families import path_graph\n"
+        "g = path_graph(200_000)\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    count_paths_between(g, 0, 199_999, budget=5)\n"
+        "except BudgetExceededError:\n"
+        "    print(time.perf_counter() - start)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        preexec_fn=cap_memory,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0  # about 0.3 s, building the adjacency
 
 
 def test_count_paths_is_linear_on_many_components():

@@ -315,4 +315,4 @@ def test_rules_validate_their_input_outside_a_driver(monkeypatch):
         maximize_to_fixpoint(pseudo_friendship(12, 3), cap=1)
     validated = count_calls(monkeypatch, transforms, "validate_cactus")
     assert bridge_slide(history[0].before) == history[0]
-    assert [args[0] for args in validated] == [history[0].before, history[0].after]
+    assert [args[0] for args in validated] == [history[0].before]
