@@ -53,15 +53,10 @@ class RunConfig:
 
     budget: int | None = None
     guard: int | None = None
-    fmt: str = "plain"
 
     def __post_init__(self) -> None:
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("work budget must be positive")
         if self.guard is not None and self.guard <= 0:
             raise ValueError("census guard must be positive")
-        if self.fmt not in ("plain", "json", "csv"):
-            raise ValueError(f"unrecognized output format {self.fmt!r}")
 
 
 def _family_spec(args, name: str) -> FamilySpec:
@@ -293,12 +288,8 @@ def main(argv: list[str] | None = None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        config = RunConfig(
-            budget=args.budget,
-            guard=args.guard,
-            fmt=getattr(args, "fmt", "plain"),
-        )
-        work_budget(config.budget)  # validate any env-var override early
+        config = RunConfig(budget=args.budget, guard=args.guard)
+        work_budget(config.budget)  # validates --budget and any env-var override
         return _COMMANDS[args.command](args, config)
     except (BudgetExceededError, CensusSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ that every iteration order in the package is deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -291,7 +292,7 @@ class BlockCutTree:
     def rooted(self) -> "RootedBlockCutTree":
         """The tree with integer node ids, rooted at block 0."""
         nblocks = len(self.blocks)
-        cuts = sorted(self.cut_vertices)
+        cuts = tuple(sorted(self.cut_vertices))
         cut_id = {v: nblocks + j for j, v in enumerate(cuts)}
         size = nblocks + len(cuts)
         parent = [-1] * size
@@ -321,6 +322,7 @@ class BlockCutTree:
             + (1,) * len(cuts),
             occupants=tuple(occupants),
             node=tuple(node),
+            cuts=cuts,
         )
 
 
@@ -341,6 +343,7 @@ class RootedBlockCutTree:
     weight: tuple[int, ...]  # 2 for a cycle block, else 1
     occupants: tuple[int, ...]  # vertices v with node[v] == x
     node: tuple[int, ...]
+    cuts: tuple[int, ...]  # node B + j is the cut vertex cuts[j]
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -428,25 +431,53 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 
 @dataclass(frozen=True)
 class CactusProfile:
-    """Validated cactus metadata on top of the block-cut tree."""
+    """A cactus and its block-cut tree, from which every other fact is read.
+
+    On a cactus a cycle vertex has degree > 2 exactly when it is a cut
+    vertex, so the paper's classes are facts about the tree: a cycle is an
+    end cycle when at most one cut vertex lies on it, else an interior
+    cycle, and an intersection vertex is a cut vertex on two or more cycles.
+    """
 
     graph: Graph
     tree: BlockCutTree
-    k: int
-    bridges: tuple[tuple[int, int], ...]
-    end_cycles: tuple[int, ...]
-    interior_cycles: tuple[int, ...]
-    intersection_vertices: frozenset[int]
 
     @cached_property
     def cycle_blocks(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.tree.blocks) if b.kind == CYCLE)
 
     @property
-    def is_bridgeless(self) -> bool:
-        return not self.bridges
+    def k(self) -> int:
+        """The cycle rank: the number of cycle blocks."""
+        return len(self.cycle_blocks)
+
+    @cached_property
+    def bridges(self) -> tuple[tuple[int, int], ...]:
+        """The bridge edges, sorted, since the blocks are sorted by edges."""
+        return tuple(b.edges[0] for b in self.tree.blocks if b.kind == BRIDGE)
+
+    @cached_property
+    def end_cycles(self) -> tuple[int, ...]:
+        incidence = self.tree.incidence
+        return tuple(i for i in self.cycle_blocks if len(incidence[i]) <= 1)
+
+    @cached_property
+    def interior_cycles(self) -> tuple[int, ...]:
+        incidence = self.tree.incidence
+        return tuple(i for i in self.cycle_blocks if len(incidence[i]) >= 2)
+
+    @cached_property
+    def intersection_vertices(self) -> frozenset[int]:
+        incidence = self.tree.incidence
+        on_cycles = Counter(v for i in self.cycle_blocks for v in incidence[i])
+        return frozenset(v for v, c in on_cycles.items() if c >= 2)
 
     def to_json(self) -> dict:
+        # derived before the graph's lists are built, so that their
+        # temporaries are freed first: a lower peak on large inputs
+        k, bridges = self.k, self.bridges
+        end_cycles, interior_cycles = self.end_cycles, self.interior_cycles
+        intersection = self.intersection_vertices
         return {
             "graph": self.graph.to_json(),
             "tree": {
@@ -456,12 +487,12 @@ class CactusProfile:
                 ],
                 "cut_vertices": sorted(self.tree.cut_vertices),
             },
-            "k": self.k,
-            "bridges": [list(e) for e in self.bridges],
+            "k": k,
+            "bridges": [list(e) for e in bridges],
             "cycles": [list(self.tree.blocks[i].vertices) for i in self.cycle_blocks],
-            "end_cycles": list(self.end_cycles),
-            "interior_cycles": list(self.interior_cycles),
-            "intersection_vertices": sorted(self.intersection_vertices),
+            "end_cycles": list(end_cycles),
+            "interior_cycles": list(interior_cycles),
+            "intersection_vertices": sorted(intersection),
         }
 
 
@@ -475,40 +506,20 @@ def _refuse_non_cactus(blocks) -> None:
             )
 
 
-def _check_rank(k: int, g: Graph) -> None:
-    if k != g.m - g.n + (1 if g.n else 0):
+def _check_rank(profile: CactusProfile) -> None:
+    g = profile.graph
+    if profile.k != g.m - g.n + (1 if g.n else 0):
         raise AssertionError("cycle rank mismatch in cactus decomposition")
 
 
 def validate_cactus(g: Graph) -> CactusProfile:
-    """Check the cactus condition (every block an edge or a cycle) and build
-    the profile: cycle rank, bridges, end/interior cycle classification and
-    intersection vertices."""
+    """Check the cactus condition (every block an edge or a cycle) and
+    return the profile of g: its graph and its block-cut tree."""
     tree = block_cut_tree(g)
     _refuse_non_cactus(tree.blocks)
-    cycle_ids = [i for i, b in enumerate(tree.blocks) if b.kind == CYCLE]
-    k = len(cycle_ids)
-    _check_rank(k, g)
-    bridges = tuple(b.edges[0] for b in tree.blocks if b.kind == BRIDGE)
-    end_cycles = []
-    interior_cycles = []
-    for i in cycle_ids:
-        busy = sum(1 for v in tree.blocks[i].vertices if g.degree(v) > 2)
-        (end_cycles if busy <= 1 else interior_cycles).append(i)
-    in_cycles: dict[int, int] = {}
-    for i in cycle_ids:
-        for v in tree.blocks[i].vertices:
-            in_cycles[v] = in_cycles.get(v, 0) + 1
-    intersection = frozenset(v for v, c in in_cycles.items() if c >= 2)
-    return CactusProfile(
-        graph=g,
-        tree=tree,
-        k=k,
-        bridges=tuple(sorted(bridges)),
-        end_cycles=tuple(end_cycles),
-        interior_cycles=tuple(interior_cycles),
-        intersection_vertices=intersection,
-    )
+    profile = CactusProfile(g, tree)
+    _check_rank(profile)
+    return profile
 
 
 def _block_of_edge(tree: BlockCutTree, u: int, v: int) -> int:
@@ -542,9 +553,9 @@ def patch_cactus(
     component of the tree outside S hangs from S at one vertex, so the blocks
     outside S are blocks of `after`, `after` is connected exactly when
     H = (edges of S's blocks - removed + added) is, and the other blocks of
-    `after` are the blocks of H.  Only a vertex of H can change its cut status
-    or the number of cycles it lies on, and only a block of H its incidence
-    or end/interior class.
+    `after` are the blocks of H.  Only a vertex of H can change its cut
+    status, and only a block of H its incidence; the new profile reads the
+    rest off the new tree.
     """
     tree = profile.tree
     rooted = tree.rooted
@@ -585,58 +596,36 @@ def patch_cactus(
         for b in local.blocks
     ]
     _refuse_non_cactus(fresh)
-    k = profile.k + sum(b.kind == CYCLE for b in fresh)
-    k -= sum(tree.blocks[i].kind == CYCLE for i in gone)
-    _check_rank(k, after)
 
-    # a vertex of H that lies on a block outside S keeps that block: it stays
-    # a cut vertex and keeps the cycles among those blocks
+    # a vertex of H that lies on a block outside S keeps that block, so it
+    # stays a cut vertex
     cuts = {verts[j] for j in local.cut_vertices}
-    cycles_at: dict[int, int] = {}
-    for x in tree.cut_vertices.intersection(verts):
-        kept = [i for i in tree.blocks_of_cut_vertex[x] if i not in region]
-        if kept:
-            cuts.add(x)
-            cycles_at[x] = sum(tree.blocks[i].kind == CYCLE for i in kept)
-    for b in fresh:
-        if b.kind == CYCLE:
-            for x in b.vertices:
-                cycles_at[x] = cycles_at.get(x, 0) + 1
+    cuts.update(
+        x
+        for x in tree.cut_vertices.intersection(verts)
+        if any(i not in region for i in tree.blocks_of_cut_vertex[x])
+    )
 
-    # splice H's blocks in among the others, which are still sorted by edges;
-    # is_end is None for a bridge, else whether the cycle is an end cycle
+    # splice H's blocks in among the others, which are still sorted by edges
     blocks = list(tree.blocks)
     incidence = list(tree.incidence)
-    is_end: list[bool | None] = [None] * nblocks
-    for i in profile.end_cycles:
-        is_end[i] = True
-    for i in profile.interior_cycles:
-        is_end[i] = False
     for i in reversed(gone):
-        del blocks[i], incidence[i], is_end[i]
+        del blocks[i], incidence[i]
     j = 0
     for b in fresh:  # in edge order, so each lands after the one before
         j = bisect_left(blocks, b.edges, lo=j, key=_edges_of)
-        cuts_on = tuple(sorted(x for x in b.vertices if x in cuts))
         blocks.insert(j, b)
-        incidence.insert(j, cuts_on)
-        # a cycle vertex has degree > 2 exactly when it is a cut vertex
-        is_end.insert(j, len(cuts_on) <= 1 if b.kind == CYCLE else None)
-    return CactusProfile(
-        graph=after,
-        tree=BlockCutTree(
+        incidence.insert(j, tuple(sorted(x for x in b.vertices if x in cuts)))
+    patched = CactusProfile(
+        after,
+        BlockCutTree(
             tuple(blocks),
             tree.cut_vertices.difference(verts).union(cuts),
             tuple(incidence),
         ),
-        k=k,
-        bridges=tuple(b.edges[0] for b in blocks if b.kind == BRIDGE),
-        end_cycles=tuple(i for i, e in enumerate(is_end) if e is True),
-        interior_cycles=tuple(i for i, e in enumerate(is_end) if e is False),
-        intersection_vertices=profile.intersection_vertices.difference(verts).union(
-            x for x, c in cycles_at.items() if c >= 2
-        ),
     )
+    _check_rank(patched)
+    return patched
 
 
 def is_cactus(g: Graph) -> bool:

@@ -101,13 +101,12 @@ def _rings(profile: CactusProfile):
     tree = profile.tree
     rooted = tree.rooted
     nblocks = len(tree.blocks)
-    cuts = sorted(tree.cut_vertices)
     for x in reversed(rooted.order):
         if x >= nblocks:
             continue
         ring = tree.blocks[x].vertices
         p = rooted.parent[x]
-        t = ring.index(cuts[p - nblocks]) if p >= 0 else 0
+        t = ring.index(rooted.cuts[p - nblocks]) if p >= 0 else 0
         yield ring[t:] + ring[:t]
 
 

@@ -15,6 +15,10 @@ Free choices (which bridge, which neighbor, ...) default to the smallest
 valid labels so results are reproducible; the monotonicity holds for every
 valid choice, so callers may also pass choices explicitly.
 
+The rules read what they need off the profile's block-cut tree, in which a
+cycle vertex of degree > 2 is a cut vertex, so no rule reads the graph's
+degrees or adjacency.
+
 The fixpoint drivers thread one profile per step: the profile and pn that a
 step computes for the graph it builds are the ones the next step reads.  A
 driver validates its input once; each step derives the profile of the graph
@@ -181,8 +185,7 @@ def _components_without(tree: BlockCutTree, x: int) -> list[list[int]]:
     as in tree.rooted: blocks 0..B-1, then the cut vertices in increasing
     order."""
     nblocks = len(tree.blocks)
-    node = tree.rooted.node
-    cuts = sorted(tree.cut_vertices)
+    node, cuts = tree.rooted.node, tree.rooted.cuts
 
     def neighbors(y: int):
         if y < nblocks:
@@ -214,7 +217,7 @@ def chain_straighten(g: Graph) -> TransformResult:
     tree = profile.tree
     blocks = tree.blocks
     nblocks = len(blocks)
-    cuts = sorted(tree.cut_vertices)
+    cuts = tree.rooted.cuts
     degree = [len(c) for c in tree.incidence]
     degree += [len(tree.blocks_of_cut_vertex[v]) for v in cuts]
 
@@ -256,7 +259,7 @@ def chain_straighten(g: Graph) -> TransformResult:
     v, w = _ring_neighbors(blocks[c_idx], u)
 
     leaf = min(x for x in t1 if degree[x] == 1)  # a cut vertex has degree >= 2
-    z = min(x for x in blocks[leaf].vertices if g.degree(x) == 2)
+    z = min(x for x in blocks[leaf].vertices if x not in tree.cut_vertices)
     return _apply(
         "chain-straighten", profile, removed=[(u, v), (u, w)], added=[(z, v), (z, w)]
     )
@@ -368,10 +371,17 @@ def split_interior_triangle(g: Graph, triangle: int | None = None) -> TransformR
     c_idx = profile.interior_cycles[0] if triangle is None else triangle
     if c_idx not in profile.interior_cycles:
         raise TransformError(f"block {c_idx} is not an interior triangle")
-    blk = profile.tree.blocks[c_idx]
-    busy = sorted(x for x in blk.vertex_set if g.degree(x) > 2)
-    u1, u2 = busy[0], busy[1]
-    outside = [x for x in g.adjacency[u2] if x not in blk.vertex_set]
+    tree = profile.tree
+    u1, u2 = tree.incidence[c_idx][:2]
+    # every block is a bridge or a triangle, so u2's neighbours on its other
+    # blocks are those blocks' other vertices
+    outside = sorted(
+        x
+        for i in tree.blocks_of_cut_vertex[u2]
+        if i != c_idx
+        for x in tree.blocks[i].vertices
+        if x != u2
+    )
     return _apply(
         "split",
         profile,

@@ -437,6 +437,11 @@ def test_bad_config_rejected(capsys):
     assert code == EXIT_INVALID
 
 
+def test_zero_guard_rejected(capsys):
+    code, out, err = run(capsys, ["--guard", "0", "sweep", "--n", "6", "--k", "2"])
+    assert (code, out, err) == (EXIT_INVALID, "", "error: census guard must be positive\n")
+
+
 def test_outputs_are_reproducible(capsys):
     argv = ["verify", "--n", "7", "--k", "2", "--invariant", "pn"]
     code1, out1, _ = run(capsys, argv)

@@ -1,10 +1,12 @@
+import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cactuspaths.census import connected_graphs, enumerate_cacti
+from cactuspaths.census import connected_graphs, enumerate_cacti, random_cactus
 from cactuspaths.families import (
     cycle_chain,
     cycle_graph,
@@ -206,6 +208,7 @@ def test_bct_rooted_form():
         t = block_cut_tree(g)
         r = t.rooted
         cuts = sorted(t.cut_vertices)
+        assert r.cuts == tuple(cuts)
         size = len(t.blocks) + len(cuts)
         assert r.order[0] == 0 and r.parent[0] == -1 and sorted(r.order) == list(range(size))
         position = {x: i for i, x in enumerate(r.order)}
@@ -270,6 +273,45 @@ def test_profile_json_shape():
     assert data["graph"]["n"] == 9
     assert data["tree"]["cut_vertices"] == [3, 5]
     assert all(b["kind"] == "cycle" for b in data["tree"]["blocks"])
+
+
+def _disconnects(g, u, v):
+    """True iff u cannot reach v once the edge uv is taken out."""
+    seen = {u, v}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for y in g.adjacency[x]:
+            if y == v and x != u:
+                return False
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return True
+
+
+def test_profile_matches_the_degree_definitions():
+    """The profile reads every class off the block-cut tree; here each is
+    derived from the graph as the paper defines it instead: an end cycle has
+    at most one vertex of degree > 2, an intersection vertex lies on two or
+    more cycles, k = m - n + 1, and a bridge is an edge whose removal
+    disconnects the graph."""
+    rng = random.Random(8)
+    graphs = [g for n in range(1, 11) for k in range((n - 1) // 2 + 1) for g in enumerate_cacti(n, k)]
+    for _ in range(300):
+        n = rng.randrange(1, 301)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        graphs.append(g.relabel(rng.sample(range(n), n)))
+    for g in graphs:
+        p = validate_cactus(g)
+        cycles = [p.tree.blocks[i].vertices for i in p.cycle_blocks]
+        busy = [sum(g.degree(x) > 2 for x in ring) for ring in cycles]
+        assert p.end_cycles == tuple(i for i, b in zip(p.cycle_blocks, busy) if b <= 1)
+        assert p.interior_cycles == tuple(i for i, b in zip(p.cycle_blocks, busy) if b > 1)
+        on_cycles = Counter(x for ring in cycles for x in ring)
+        assert p.intersection_vertices == {x for x, c in on_cycles.items() if c >= 2}
+        assert p.k == len(cycles) == g.m - g.n + 1
+        assert p.bridges == tuple(e for e in g.sorted_edges if _disconnects(g, *e))
 
 
 # ---------------------------------------------------------------- cycle-incidence view
