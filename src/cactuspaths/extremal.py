@@ -162,6 +162,21 @@ class VerificationReport:
         }
 
 
+def _pfg_and_ties(n: int, k: int, invariant) -> tuple[set[bytes], str]:
+    """The keys of the classes expected at PFG(n, k)'s extreme of an
+    invariant, and a detail suffix naming any tie: at k = 1 the cycle C_n
+    joins when it is another class with PFG(n, 1)'s value (the Wiener index
+    at n = 4, 5, the subtree number at n = 4)."""
+    pfg = pseudo_friendship(n, k)
+    keys = {canonical_key(pfg)}
+    if k == 1:
+        cycle = cycle_graph(n)
+        ck = canonical_key(cycle)
+        if ck not in keys and invariant(validate_cactus(cycle)) == invariant(validate_cactus(pfg)):
+            return keys | {ck}, f"; C_{n} ties PFG({n}, 1)"
+    return keys, ""
+
+
 def verify_theorems(
     n: int,
     k: int,
@@ -172,8 +187,9 @@ def verify_theorems(
 
     pn: unique max is PTC (k >= 2) or the cycle (k = 1); the min is attained
     exactly by the end-triangle cacti at the closed-form value.
-    wiener / subtrees: PFG is the unique min / max; BSG, when it exists
-    (k >= 2 and n >= 2k + 2), is the unique max / min.  Plus the
+    wiener / subtrees: PFG is the unique min / max, with the cycle beside it
+    at k = 1 where the two tie; BSG, when it exists (k >= 2 and
+    n >= 2k + 2), is the unique max / min.  Plus the
     non-correlation facts: the pn maximizer differs from the Wiener
     maximizer and the pn minimizers strictly contain the Wiener minimizer.
     """
@@ -233,15 +249,16 @@ def verify_theorems(
     if "wiener" in reports:
         rep = reports["wiener"]
         applicable = k >= 1
-        pfg_ok = None
+        pfg_ok, tie = None, ""
         if applicable:
-            pfg_ok = rep.argmin_keys == {canonical_key(pseudo_friendship(n, k))}
+            expected, tie = _pfg_and_ties(n, k, cactus_wiener)
+            pfg_ok = rep.argmin_keys == expected
         checks.append(
             Check(
                 "wiener_min_is_pfg",
                 applicable,
                 pfg_ok,
-                f"min {rep.min_value} attained by {len(rep.argmin)} class(es)",
+                f"min {rep.min_value} attained by {len(rep.argmin)} class(es){tie}",
             )
         )
         bsg_ok = None
@@ -259,15 +276,16 @@ def verify_theorems(
     if "subtrees" in reports:
         rep = reports["subtrees"]
         applicable = k >= 1
-        pfg_ok = None
+        pfg_ok, tie = None, ""
         if applicable:
-            pfg_ok = rep.argmax_keys == {canonical_key(pseudo_friendship(n, k))}
+            expected, tie = _pfg_and_ties(n, k, cactus_subtree_count)
+            pfg_ok = rep.argmax_keys == expected
         checks.append(
             Check(
                 "subtrees_max_is_pfg",
                 applicable,
                 pfg_ok,
-                f"max {rep.max_value} attained by {len(rep.argmax)} class(es)",
+                f"max {rep.max_value} attained by {len(rep.argmax)} class(es){tie}",
             )
         )
         bsg_ok = None

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -288,6 +289,37 @@ def test_main_restores_the_int_string_limit(capsys):
             assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_main_pauses_and_restores_the_cyclic_collector(capsys, monkeypatch, k4_file):
+    import cactuspaths.cli as cli
+    from cactuspaths.extremal import Check, VerificationReport
+
+    during = []
+
+    def failing_verify(*args, **kwargs):
+        during.append(gc.isenabled())
+        return VerificationReport(6, 2, (Check("pn_max_is_ptc", True, False, "forced"),))
+
+    monkeypatch.setattr(cli, "verify_theorems", failing_verify)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, expected in (
+                (["pn", "--family", "cycle", "--n", "5"], EXIT_OK),
+                (["pn", "--family", "cycle", "--n", "2"], EXIT_INVALID),
+                (["--budget", "20", "indices", k4_file], EXIT_BUDGET),
+                (["verify", "--n", "6", "--k", "2"], EXIT_VERIFY),
+            ):
+                assert run(capsys, argv)[0] == expected, argv
+                assert gc.isenabled() is enabled, argv
+            with pytest.raises(SystemExit):
+                main(["pn", "--family", "no-such-family"])
+            assert gc.isenabled() is enabled
+        assert during == [False, False]
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_oversized_families_are_refused_before_allocating():

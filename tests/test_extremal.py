@@ -117,6 +117,34 @@ def test_verify_k1():
     assert any(c.name == "pn_max_is_cycle" and c.passed for c in report.checks)
 
 
+def test_verify_passes_on_every_class_up_to_ten_vertices():
+    for n in range(1, 11):
+        for k in range((n - 1) // 2 + 1):
+            assert verify_theorems(n, k).all_passed, (n, k)
+
+
+def test_cycle_ties_pfg_at_k1():
+    # W(C_n) = W(PFG(n, 1)) only at n <= 5, and C_n and PFG(n, 1) have the
+    # same subtree number only at n <= 4; at n = 3 the two are one graph
+    ties = {(4, "wiener"): 8, (5, "wiener"): 15, (4, "subtrees"): 16}
+    for n in (3, 4, 5, 6):
+        checks = {c.name: c for c in verify_theorems(n, 1).checks}
+        for invariant, name in (("wiener", "wiener_min_is_pfg"), ("subtrees", "subtrees_max_is_pfg")):
+            rep = extremal_sweep(n, 1, invariant)
+            if invariant == "wiener":
+                keys, value = rep.argmin_keys, rep.min_value
+            else:
+                keys, value = rep.argmax_keys, rep.max_value
+            expected = {canonical_key(pseudo_friendship(n, 1))}
+            tie = (n, invariant) in ties
+            if tie:
+                expected.add(canonical_key(cycle_graph(n)))
+                assert value == ties[n, invariant]
+            assert keys == expected, (n, invariant)
+            assert checks[name].passed
+            assert checks[name].detail.endswith(f"; C_{n} ties PFG({n}, 1)") == tie
+
+
 def test_verify_k0():
     report = verify_theorems(5, 0, invariants=("pn",))
     assert report.all_passed
