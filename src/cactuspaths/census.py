@@ -79,7 +79,7 @@ def canonical_key(g: Graph) -> bytes:
     for pos in range(n):
         cls = layout[pos]
         best_row = -1
-        kept: list[tuple[tuple[int, ...], int, int]] = []  # placement, used, vertex
+        kept: list[tuple[tuple[int, ...], int, int, int]] = []  # placement, used, vertex, row
         for placement, used in frontier:
             local: list[tuple[int, int]] = []  # (row, vertex) kept for this placement
             for v in by_color[cls]:
@@ -108,12 +108,12 @@ def canonical_key(g: Graph) -> bytes:
                     best_row = row
             for row, v in local:
                 if row == best_row:
-                    kept.append((placement, used, v))
+                    kept.append((placement, used, v, row))
         # best_row may have risen after earlier candidates were kept
         frontier = [
             (placement + (v,), used | (1 << v))
-            for placement, used, v in kept
-            if _row_of(masks[v], placement) == best_row
+            for placement, used, v, row in kept
+            if row == best_row
         ]
         rows.append(best_row)
     bits = 0
@@ -121,13 +121,6 @@ def canonical_key(g: Graph) -> bytes:
         bits = (bits << i) | row
     nbits = n * (n - 1) // 2
     return n.to_bytes(2, "big") + bits.to_bytes(max(1, (nbits + 7) // 8), "big")
-
-
-def _row_of(mask: int, placement: tuple[int, ...]) -> int:
-    row = 0
-    for p in placement:
-        row = (row << 1) | ((mask >> p) & 1)
-    return row
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -371,7 +364,8 @@ def _code(n: int, rings: Rings) -> str:
                 layer.append(b)
         left -= len(layer)
     seq = [vcode[v] for v in rings[layer[0]]]
-    return "(" + min("".join(s[i:] + s[:i]) for s in (seq, seq[::-1]) for i in range(len(seq))) + ")"
+    rotations = (s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq)))
+    return "(" + min("".join(r) for r in rotations) + ")"
 
 
 def cactus_key(g: Graph) -> str:

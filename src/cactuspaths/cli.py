@@ -13,7 +13,6 @@ import gc
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .census import CensusSizeError
 from .counting import (
@@ -48,18 +47,6 @@ EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
 
-@dataclass
-class RunConfig:
-    """Validated run options shared by the subcommands."""
-
-    budget: int | None = None
-    guard: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.guard is not None and self.guard <= 0:
-            raise ValueError("census guard must be positive")
-
-
 def _family_spec(args, name: str) -> FamilySpec:
     return FamilySpec(
         family=name,
@@ -75,7 +62,7 @@ def _family_spec(args, name: str) -> FamilySpec:
 def _load_graph(args) -> Graph:
     if getattr(args, "family", None):
         return build_family(_family_spec(args, args.family))
-    if getattr(args, "infile", None):
+    if getattr(args, "infile", None) is not None:
         with open(args.infile, "r", encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
     raise ValueError("provide --in FILE or --family NAME")
@@ -110,11 +97,10 @@ def _family_flags(sub) -> None:
     sub.add_argument("--attach", type=_lengths, help="triangle attachment vertices, e.g. 0,0,3")
 
 
-def _graph_flags(sub, with_family: bool = True) -> None:
+def _graph_flags(sub) -> None:
     sub.add_argument("--in", dest="infile", help="edge-list file ('n m' header)")
-    if with_family:
-        sub.add_argument("--family", choices=FAMILY_NAMES, help="named family instead of a file")
-        _family_flags(sub)
+    sub.add_argument("--family", choices=FAMILY_NAMES, help="named family instead of a file")
+    _family_flags(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +171,7 @@ def _write_csv(columns, rows, out: str | None) -> str:
     return text
 
 
-def _cmd_pn(args, config: RunConfig) -> int:
+def _cmd_pn(args) -> int:
     g = _load_graph(args)
     profile = None
     if not args.oracle or args.check:
@@ -197,7 +183,7 @@ def _cmd_pn(args, config: RunConfig) -> int:
         if profile is None:
             raise NotCactusError("--check needs a cactus input (fast counter required)")
         fast = cactus_path_count(profile)
-        oracle = count_paths(g, budget=config.budget)
+        oracle = count_paths(g, budget=args.budget)
         if args.fmt == "json":
             print(json.dumps({"fast": str(fast), "oracle": str(oracle)}, sort_keys=True))
         else:
@@ -210,7 +196,7 @@ def _cmd_pn(args, config: RunConfig) -> int:
     if profile is not None:
         value = cactus_path_count(profile)
     else:
-        value = count_paths(g, budget=config.budget)
+        value = count_paths(g, budget=args.budget)
     if args.fmt == "json":
         print(json.dumps({"pn": str(value)}, sort_keys=True))
     else:
@@ -218,51 +204,49 @@ def _cmd_pn(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_family(args, config: RunConfig) -> int:
+def _cmd_family(args) -> int:
     sys.stdout.write(to_edge_list_text(build_family(_family_spec(args, args.name))))
     return EXIT_OK
 
 
-def _cmd_reconcile(args, config: RunConfig) -> int:
+def _cmd_reconcile(args) -> int:
     rows = reconciliation_rows(
         range(args.n_min, args.n_max + 1),
         range(args.k_min, args.k_max + 1),
-        budget=config.budget,
+        budget=args.budget,
     )
     sys.stdout.write(_write_csv(RECONCILIATION_COLUMNS, rows, args.out))
     return EXIT_OK
 
 
-def _cmd_transform(args, config: RunConfig) -> int:
+def _cmd_transform(args) -> int:
     g = _load_graph(args)
     result = RULES[args.rule](g)
     print(json.dumps(result.to_json(), sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_sweep(args, config: RunConfig) -> int:
-    report = extremal_sweep(args.n, args.k, args.invariant, guard=config.guard)
+def _cmd_sweep(args) -> int:
+    report = extremal_sweep(args.n, args.k, args.invariant, guard=args.guard)
     rows = sweep_rows(report)
     sys.stdout.write(_write_csv(SWEEP_COLUMNS, rows, args.out))
     return EXIT_OK
 
 
-def _cmd_verify(args, config: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     invariants = tuple(args.invariant) if args.invariant else INVARIANTS
-    report = verify_theorems(args.n, args.k, invariants=invariants, guard=config.guard)
+    report = verify_theorems(args.n, args.k, invariants=invariants, guard=args.guard)
     print(json.dumps(report.to_json(), sort_keys=True))
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
-def _cmd_indices(args, config: RunConfig) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        g = parse_edge_list(fh.read())
-    triple = invariant_triple(g, budget=config.budget)
+def _cmd_indices(args) -> int:
+    triple = invariant_triple(_load_graph(args), budget=args.budget)
     print(json.dumps(triple.to_json(), sort_keys=True))
     return EXIT_OK
 
 
-def _cmd_profile(args, config: RunConfig) -> int:
+def _cmd_profile(args) -> int:
     g = _load_graph(args)
     print(json.dumps(validate_cactus(g).to_json(), sort_keys=True))
     return EXIT_OK
@@ -292,9 +276,10 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        config = RunConfig(budget=args.budget, guard=args.guard)
-        work_budget(config.budget)  # validates --budget and any env-var override
-        return _COMMANDS[args.command](args, config)
+        if args.guard is not None and args.guard <= 0:
+            raise ValueError("census guard must be positive")
+        work_budget(args.budget)  # validates --budget and any env-var override
+        return _COMMANDS[args.command](args)
     except (BudgetExceededError, CensusSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

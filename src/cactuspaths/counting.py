@@ -23,17 +23,12 @@ class BudgetExceededError(Exception):
 
 def work_budget(budget: int | None = None) -> int:
     """Explicit budget, else the CACTUSPATHS_BUDGET env var, else the default."""
-    if budget is not None:
-        if budget <= 0:
-            raise ValueError("work budget must be positive")
-        return budget
-    env = os.environ.get(_BUDGET_ENV)
-    if env is not None:
-        value = int(env)
-        if value <= 0:
-            raise ValueError("work budget must be positive")
-        return value
-    return DEFAULT_BUDGET
+    if budget is None:
+        env = os.environ.get(_BUDGET_ENV)
+        budget = DEFAULT_BUDGET if env is None else int(env)
+    if budget <= 0:
+        raise ValueError("work budget must be positive")
+    return budget
 
 
 def count_paths(g: Graph, budget: int | None = None) -> int:

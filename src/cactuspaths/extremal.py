@@ -177,6 +177,13 @@ def _pfg_and_ties(n: int, k: int, invariant) -> tuple[set[bytes], str]:
     return keys, ""
 
 
+def _side(rep: ExtremalReport, side: str) -> tuple[frozenset[bytes], str]:
+    """The keys of the classes at one side ("min" or "max") of a sweep, and
+    the detail naming that side's value and how many classes attain it."""
+    entries, value = (rep.argmin, rep.min_value) if side == "min" else (rep.argmax, rep.max_value)
+    return frozenset(e.key for e in entries), f"{side} {value} attained by {len(entries)} class(es)"
+
+
 def verify_theorems(
     n: int,
     k: int,
@@ -198,134 +205,62 @@ def verify_theorems(
     values, end_triangle = _evaluate(census, invariants)
     reports = {inv: _report(n, k, inv, census, values[inv]) for inv in invariants}
     bsg_defined = k >= 2 and n >= 2 * k + 2
+    pn = reports.get("pn")
 
-    if "pn" in reports:
-        rep = reports["pn"]
-        if k == 0:
-            value = tree_path_count(n)
-            checks.append(
-                Check(
-                    "pn_trees_constant",
-                    True,
-                    rep.min_value == rep.max_value == value,
-                    f"all {rep.census_size} trees have pn {value}",
-                )
+    if pn is not None and k == 0:
+        value = tree_path_count(n)
+        checks.append(
+            Check(
+                "pn_trees_constant",
+                True,
+                pn.min_value == pn.max_value == value,
+                f"all {pn.census_size} trees have pn {value}",
             )
+        )
+    if pn is not None and k >= 1:
+        keys, detail = _side(pn, "max")
         if k == 1:
-            ck = canonical_key(cycle_graph(n))
-            checks.append(
-                Check(
-                    "pn_max_is_cycle",
-                    True,
-                    rep.argmax_keys == {ck},
-                    f"max {rep.max_value} attained by {len(rep.argmax)} class(es)",
-                )
-            )
-        if k >= 2:
-            ck = canonical_key(pseudo_triangle_chain(n, k))
-            checks.append(
-                Check(
-                    "pn_max_is_ptc",
-                    True,
-                    rep.argmax_keys == {ck} and rep.max_value == ptc_summation(n, k),
-                    f"max {rep.max_value} attained by {len(rep.argmax)} class(es)",
-                )
-            )
+            name, ok = "pn_max_is_cycle", keys == {canonical_key(cycle_graph(n))}
+        else:
+            ptc_key = canonical_key(pseudo_triangle_chain(n, k))
+            name, ok = "pn_max_is_ptc", keys == {ptc_key} and pn.max_value == ptc_summation(n, k)
+        checks.append(Check(name, True, ok, detail))
+        end_triangle_keys = frozenset(
+            canonical_key(g) for g, flag in zip(census, end_triangle) if flag
+        )
+        keys, detail = _side(pn, "min")
+        ok = keys == end_triangle_keys and pn.min_value == min_cactus_path_count(n, k)
+        detail += f"; {len(end_triangle_keys)} end-triangle class(es)"
+        checks.append(Check("pn_min_is_end_triangle_family", True, ok, detail))
+
+    # PFG and BSG sit at opposite extremes of the Wiener index and of the subtree number
+    for inv, pfg_side, bsg_side, counter in (
+        ("wiener", "min", "max", cactus_wiener),
+        ("subtrees", "max", "min", cactus_subtree_count),
+    ):
+        if inv not in reports:
+            continue
+        keys, detail = _side(reports[inv], pfg_side)
+        pfg_ok, tie = None, ""
         if k >= 1:
-            end_triangle_keys = frozenset(
-                canonical_key(g) for g, flag in zip(census, end_triangle) if flag
-            )
-            checks.append(
-                Check(
-                    "pn_min_is_end_triangle_family",
-                    True,
-                    rep.argmin_keys == end_triangle_keys
-                    and rep.min_value == min_cactus_path_count(n, k),
-                    f"min {rep.min_value} attained by {len(rep.argmin)} class(es); "
-                    f"{len(end_triangle_keys)} end-triangle class(es)",
-                )
-            )
+            expected, tie = _pfg_and_ties(n, k, counter)
+            pfg_ok = keys == expected
+        checks.append(Check(f"{inv}_{pfg_side}_is_pfg", k >= 1, pfg_ok, detail + tie))
+        keys, detail = _side(reports[inv], bsg_side)
+        bsg_ok = keys == {canonical_key(balanced_saw(n, k))} if bsg_defined else None
+        checks.append(Check(f"{inv}_{bsg_side}_is_bsg", bsg_defined, bsg_ok, detail))
 
-    if "wiener" in reports:
-        rep = reports["wiener"]
-        applicable = k >= 1
-        pfg_ok, tie = None, ""
-        if applicable:
-            expected, tie = _pfg_and_ties(n, k, cactus_wiener)
-            pfg_ok = rep.argmin_keys == expected
-        checks.append(
-            Check(
-                "wiener_min_is_pfg",
-                applicable,
-                pfg_ok,
-                f"min {rep.min_value} attained by {len(rep.argmin)} class(es){tie}",
-            )
-        )
-        bsg_ok = None
+    if pn is not None:
+        distinct = contains = None
         if bsg_defined:
-            bsg_ok = rep.argmax_keys == {canonical_key(balanced_saw(n, k))}
-        checks.append(
-            Check(
-                "wiener_max_is_bsg",
-                bsg_defined,
-                bsg_ok,
-                f"max {rep.max_value} attained by {len(rep.argmax)} class(es)",
-            )
-        )
-
-    if "subtrees" in reports:
-        rep = reports["subtrees"]
-        applicable = k >= 1
-        pfg_ok, tie = None, ""
-        if applicable:
-            expected, tie = _pfg_and_ties(n, k, cactus_subtree_count)
-            pfg_ok = rep.argmax_keys == expected
-        checks.append(
-            Check(
-                "subtrees_max_is_pfg",
-                applicable,
-                pfg_ok,
-                f"max {rep.max_value} attained by {len(rep.argmax)} class(es){tie}",
-            )
-        )
-        bsg_ok = None
-        if bsg_defined:
-            bsg_ok = rep.argmin_keys == {canonical_key(balanced_saw(n, k))}
-        checks.append(
-            Check(
-                "subtrees_min_is_bsg",
-                bsg_defined,
-                bsg_ok,
-                f"min {rep.min_value} attained by {len(rep.argmin)} class(es)",
-            )
-        )
-
-    if "pn" in reports:
-        applicable = bsg_defined
-        distinct = None
-        contains = None
-        if applicable:
-            distinct = canonical_key(pseudo_triangle_chain(n, k)) != canonical_key(
-                balanced_saw(n, k)
-            )
-            rep = reports["pn"]
+            ptc, bsg = pseudo_triangle_chain(n, k), balanced_saw(n, k)
+            distinct = canonical_key(ptc) != canonical_key(bsg)
             pfg_key = canonical_key(pseudo_friendship(n, k))
-            contains = pfg_key in rep.argmin_keys and len(rep.argmin) > 1
-        checks.append(
-            Check(
-                "pn_max_differs_from_wiener_max",
-                applicable,
-                distinct,
-                "PTC and BSG are non-isomorphic" if distinct else "",
-            )
-        )
-        checks.append(
-            Check(
-                "pn_min_strictly_contains_wiener_min",
-                applicable,
-                contains,
-                "PFG minimizes pn but not uniquely" if contains else "",
-            )
-        )
+            contains = pfg_key in pn.argmin_keys and len(pn.argmin) > 1
+        for name, ok, detail in (
+            ("pn_max_differs_from_wiener_max", distinct, "PTC and BSG are non-isomorphic"),
+            ("pn_min_strictly_contains_wiener_min", contains, "PFG minimizes pn but not uniquely"),
+        ):
+            checks.append(Check(name, bsg_defined, ok, detail if ok else ""))
 
     return VerificationReport(n, k, tuple(checks))

@@ -522,21 +522,6 @@ def validate_cactus(g: Graph) -> CactusProfile:
     return profile
 
 
-def _block_of_edge(tree: BlockCutTree, u: int, v: int) -> int:
-    """The block holding the edge uv."""
-    rooted = tree.rooted
-    nblocks = len(tree.blocks)
-    a, b = rooted.node[u], rooted.node[v]
-    if a < nblocks:
-        return a
-    if b < nblocks:
-        return b
-    # two cut vertices share one block: the parent of both, or the parent of
-    # one that is a child of the other
-    pa, pb = rooted.parent[a], rooted.parent[b]
-    return pa if pa == pb or rooted.parent[pa] == b else pb
-
-
 def patch_cactus(
     profile: CactusProfile,
     after: Graph,
@@ -548,22 +533,22 @@ def patch_cactus(
     in all), decomposing only the part of the block-cut tree that the change
     touches; it raises what validate_cactus(after) raises.
 
-    That part is S, the smallest subtree of tree.rooted holding the block of
-    every removed edge and the node of every endpoint of an added edge.  Each
-    component of the tree outside S hangs from S at one vertex, so the blocks
-    outside S are blocks of `after`, `after` is connected exactly when
-    H = (edges of S's blocks - removed + added) is, and the other blocks of
-    `after` are the blocks of H.  Only a vertex of H can change its cut
-    status, and only a block of H its incidence; the new profile reads the
-    rest off the new tree.
+    That part is S, the smallest subtree of tree.rooted holding the node of
+    every endpoint of every removed and added edge.  A removed edge's
+    endpoints lie on its block or on cut nodes next to that block, so S
+    holds the block of every removed edge.  Each component of the tree
+    outside S hangs from S at one vertex, so the blocks outside S are blocks
+    of `after`, `after` is connected exactly when H = (edges of S's blocks -
+    removed + added) is, and the other blocks of `after` are the blocks of H.
+    Only a vertex of H can change its cut status, and only a block of H its
+    incidence; the new profile reads the rest off the new tree.
     """
     tree = profile.tree
     rooted = tree.rooted
     parent, depth = rooted.parent, rooted.depth
     nblocks = len(tree.blocks)
 
-    terminals = [_block_of_edge(tree, u, v) for u, v in removed]
-    terminals += [rooted.node[x] for e in added for x in e]
+    terminals = [rooted.node[x] for e in (*removed, *added) for x in e]
     top = terminals[0]
     for t in terminals[1:]:  # top becomes the lowest common ancestor
         while t != top:

@@ -390,9 +390,6 @@ def split_interior_triangle(g: Graph, triangle: int | None = None) -> TransformR
     )
 
 
-MAX_RULES = ("bridge-slide", "chain-straighten", "shrink", "balance")
-MIN_RULES = ("to-triangle", "split")
-
 RULES = {
     "bridge-slide": bridge_slide,
     "chain-straighten": chain_straighten,
