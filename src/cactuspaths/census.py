@@ -12,8 +12,10 @@ vertex or a fresh cycle; every cactus arises this way because its block-cut
 tree always has a removable leaf block.  Candidates are deduplicated by an
 AHU code of the block-cut tree rooted at its centre (cactus_key), computed
 from the blocks the parent already knows plus the one just attached, so no
-candidate is built as a Graph.  canonical_key is computed once per class,
-to order the classes, and stays the oracle for the code.
+candidate is built as a Graph.  enumerate_cacti sorts each census by
+canonical_key, which costs one key per class; census_in_generation_order
+skips that sort, for callers (the theorem checks) whose results depend only
+on the set of classes.  canonical_key stays the oracle for the code.
 """
 
 from __future__ import annotations
@@ -232,7 +234,12 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in all_graphs(n) if is_connected(g))
 
 
-_cactus_census: dict[tuple[int, int], tuple[tuple[Graph, ...], tuple[Rings, ...]]] = {}
+Census = tuple[tuple[Graph, ...], tuple[Rings, ...]]
+# (n, k) -> the classes and each one's rings, sorted by canonical_key
+_cactus_census: dict[tuple[int, int], Census] = {}
+# the same classes in the order _grow finds them; a class's representative
+# depends on the order of its parents, so each cache grows only from itself
+_unsorted_census: dict[tuple[int, int], Census] = {}
 
 
 def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
@@ -241,6 +248,20 @@ def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ..
 
     Raises CensusSizeError when this census or any smaller census it is
     grown from has more classes than the guard, cached or not."""
+    return _census(n, k, guard, _cactus_census)
+
+
+def census_in_generation_order(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
+    """The classes of enumerate_cacti(n, k, guard) in the order they are
+    generated, with no canonical_key computed: the representatives may
+    differ from enumerate_cacti's, the set of classes does not.  The guard
+    binds the same censuses."""
+    return _census(n, k, guard, _unsorted_census)
+
+
+def _census(
+    n: int, k: int, guard: int | None, cache: dict[tuple[int, int], Census]
+) -> tuple[Graph, ...]:
     if n < 1:
         raise ValueError("need at least one vertex")
     if k < 0 or 2 * k + 1 > n:
@@ -252,22 +273,23 @@ def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ..
     for size in range(1, n + 1):
         for rank in range(max(0, (size - spare) // 2), min(k, (size - 1) // 2) + 1):
             key = (size, rank)
-            if key not in _cactus_census:
-                _cactus_census[key] = _grow(size, rank, limit)
-            if len(_cactus_census[key][0]) > limit:
+            if key not in cache:
+                cache[key] = _grow(size, rank, limit, cache)
+            if len(cache[key][0]) > limit:
                 raise _over_guard(size, rank, limit)
-    return _cactus_census[(n, k)][0]
+    return cache[(n, k)][0]
 
 
 def _over_guard(n: int, k: int, limit: int) -> CensusSizeError:
     return CensusSizeError(f"census for n={n}, k={k} has more classes than the guard {limit}")
 
 
-def _grow(n: int, k: int, limit: int) -> tuple[tuple[Graph, ...], tuple[Rings, ...]]:
-    """The (n, k) census and each class's rings, from the cached censuses it
-    is grown from: every cactus is a smaller one with a pendant vertex or a
-    cycle attached at one vertex.  The first candidate with a new code
-    represents its class."""
+def _grow(n: int, k: int, limit: int, cache: dict[tuple[int, int], Census]) -> Census:
+    """The (n, k) census and each class's rings, from the censuses in cache
+    it is grown from: every cactus is a smaller one with a pendant vertex or
+    a cycle attached at one vertex.  The first candidate with a new code
+    represents its class; the classes are sorted by canonical_key when cache
+    is the sorted one."""
     if n == 1:
         return (Graph(1, frozenset()),), ((),)
     seen: dict[str, tuple[frozenset[tuple[int, int]], Rings]] = {}  # code -> first candidate
@@ -280,20 +302,19 @@ def _grow(n: int, k: int, limit: int) -> tuple[tuple[Graph, ...], tuple[Rings, .
                 raise _over_guard(n, k, limit)
 
     # a parent (n', k') with 2k' + 1 > n' has no census: nothing to grow
-    for h, rings in zip(*_cactus_census.get((n - 1, k), ((), ()))):
+    for h, rings in zip(*cache.get((n - 1, k), ((), ()))):
         for v in range(h.n):
             record(h.edges, [(v, n - 1)], rings + ((v, n - 1),))
     for length in range(3, n + 1):
-        for h, rings in zip(*_cactus_census.get((n - length + 1, k - 1), ((), ()))):
+        for h, rings in zip(*cache.get((n - length + 1, k - 1), ((), ()))):
             for v in range(h.n):
                 ring = (v, *range(h.n, n))
                 new = [(v, h.n), (v, n - 1)]
                 new += [(u, u + 1) for u in range(h.n, n - 1)]
                 record(h.edges, new, rings + (ring,))
-    classes = sorted(
-        ((Graph(n, edges), rings) for edges, rings in seen.values()),
-        key=lambda c: canonical_key(c[0]),
-    )
+    classes = [(Graph(n, edges), rings) for edges, rings in seen.values()]
+    if cache is _cactus_census:
+        classes.sort(key=lambda c: canonical_key(c[0]))
     return tuple(g for g, _ in classes), tuple(r for _, r in classes)
 
 
@@ -383,6 +404,7 @@ def clear_caches() -> None:
     miss statistics restart too); results do not depend on them."""
     _graph_census.clear()
     _cactus_census.clear()
+    _unsorted_census.clear()
     canonical_key.cache_clear()
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import canonical_key, enumerate_cacti
+from .census import canonical_key, census_in_generation_order, enumerate_cacti
 from .counting import cactus_path_count
 from .families import (
     balanced_saw,
@@ -56,7 +56,8 @@ class ExtremalReport:
     max_value: int
     argmin: tuple[ArgEntry, ...]
     argmax: tuple[ArgEntry, ...]
-    census: tuple[Graph, ...]  # canonical-key order
+    # canonical-key order from extremal_sweep, generation order from verify_theorems
+    census: tuple[Graph, ...]
     values: tuple[int, ...]  # values[i] is the invariant of census[i]
 
     @property
@@ -201,7 +202,8 @@ def verify_theorems(
     maximizer and the pn minimizers strictly contain the Wiener minimizer.
     """
     checks: list[Check] = []
-    census = enumerate_cacti(n, k, guard=guard) if invariants else ()
+    # the checks compare sets of classes, so the census need not be sorted
+    census = census_in_generation_order(n, k, guard=guard) if invariants else ()
     values, end_triangle = _evaluate(census, invariants)
     reports = {inv: _report(n, k, inv, census, values[inv]) for inv in invariants}
     bsg_defined = k >= 2 and n >= 2 * k + 2

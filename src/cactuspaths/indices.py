@@ -208,10 +208,10 @@ def invariant_triple(g: Graph, budget: int | None = None) -> InvariantTriple:
     """All three invariants of a connected graph: the linear cactus
     counters on a cactus, the brute-force ones (bounded by the budget)
     otherwise."""
-    if not is_connected(g):
-        raise DisconnectedError("invariant_triple requires a connected graph")
     try:
         profile = validate_cactus(g)
+    except DisconnectedError:
+        raise DisconnectedError("invariant_triple requires a connected graph") from None
     except NotCactusError:
         return InvariantTriple(
             count_paths(g, budget=budget), wiener(g), subtree_count(g, budget=budget)

@@ -1,0 +1,74 @@
+"""The theorem checks read a census of their own, in generation order, next
+to the canonical-key-sorted one that enumerate_cacti and sweep read: neither
+cache's state nor the order of calls may change any result."""
+
+import hashlib
+import json
+
+from test_census_build import CENSUS_SHA256
+from test_pinned_digests import KEYS_SHA256
+
+from cactuspaths import census as census_module
+from cactuspaths.census import canonical_key, clear_caches, enumerate_cacti
+from cactuspaths.cli import EXIT_BUDGET, EXIT_OK, main
+from cactuspaths.extremal import verify_theorems
+
+
+def _cells(n_max):
+    return [(n, k) for n in range(1, n_max + 1) for k in range((n - 1) // 2 + 1)]
+
+
+def _sorted_census_digests():
+    """The digests of test_census_build.py and test_pinned_digests.py, over
+    the sorted census n <= 10."""
+    reps, keys = hashlib.sha256(), hashlib.sha256()
+    for n, k in _cells(10):
+        census = enumerate_cacti(n, k)
+        reps.update(json.dumps([g.to_json() for g in census]).encode())
+        reps.update(b"\n")
+        for g in census:
+            keys.update(canonical_key(g))
+    return reps.hexdigest(), keys.hexdigest()
+
+
+def _reports(cells):
+    return {cell: json.dumps(verify_theorems(*cell).to_json(), sort_keys=True) for cell in cells}
+
+
+def test_cache_state_and_call_order_do_not_change_results():
+    clear_caches()
+    forward = _reports(_cells(9))
+    assert _sorted_census_digests() == (CENSUS_SHA256, KEYS_SHA256)
+    clear_caches()
+    assert _sorted_census_digests() == (CENSUS_SHA256, KEYS_SHA256)
+    assert _reports(reversed(_cells(9))) == forward
+
+
+def test_clear_caches_empties_both_cactus_censuses():
+    enumerate_cacti(7, 2)
+    verify_theorems(7, 2)
+    assert census_module._cactus_census and census_module._unsorted_census
+    clear_caches()
+    assert census_module._cactus_census == census_module._unsorted_census == {}
+    assert canonical_key.cache_info().currsize == 0
+
+
+def test_verify_keys_only_the_classes_it_compares():
+    # sorting the census keyed every class: 517 and 390 misses before
+    for (n, k), misses in (((10, 3), 21), ((9, 2), 26)):
+        clear_caches()
+        verify_theorems(n, k)
+        assert canonical_key.cache_info().misses == misses, (n, k)
+
+
+def test_verify_guard_binds_the_same_censuses_cold_and_after_a_sweep(capsys):
+    # (10, 3) is grown from (8, 2), whose 65 classes are the first over 64
+    message = "error: census for n=8, k=2 has more classes than the guard 64\n"
+    guarded = ["--guard", "64", "verify", "--n", "10", "--k", "3"]
+    clear_caches()
+    assert main(guarded) == EXIT_BUDGET
+    assert capsys.readouterr() == ("", message)
+    assert main(["sweep", "--n", "10", "--k", "3"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(guarded) == EXIT_BUDGET
+    assert capsys.readouterr() == ("", message)

@@ -218,6 +218,21 @@ def test_indices_cli(capsys, tmp_path):
     assert json.loads(out) == {"pn": "118", "wiener": "78", "subtrees": "1740"}
 
 
+def test_indices_cli_edge_cases(capsys, tmp_path):
+    disconnected = "error: invariant_triple requires a connected graph\n"
+    cases = (
+        ("4 2\n0 1\n2 3\n", EXIT_INVALID, "", disconnected),  # a cactus but for connectivity
+        ("5 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n", EXIT_INVALID, "", disconnected),  # K_4 and K_1
+        ("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", EXIT_OK, '{"pn": "34", "subtrees": "38", "wiener": "6"}\n', ""),
+        ("0 0\n", EXIT_OK, '{"pn": "0", "subtrees": "0", "wiener": "0"}\n', ""),
+        ("1 0\n", EXIT_OK, '{"pn": "1", "subtrees": "1", "wiener": "0"}\n', ""),
+    )
+    path = tmp_path / "g.edges"
+    for text, *expected in cases:
+        path.write_text(text)
+        assert list(run(capsys, ["indices", str(path)])) == expected, text
+
+
 def test_profile_cli(capsys):
     code, out, _ = run(capsys, ["profile", "--family", "pfg", "--n", "10", "--k", "3"])
     assert code == EXIT_OK
