@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .census import canonical_key, census_in_generation_order, enumerate_cacti
-from .counting import cactus_path_count
 from .families import (
     balanced_saw,
     cycle_graph,
@@ -16,9 +15,9 @@ from .families import (
 )
 from .formulas import min_cactus_path_count, ptc_summation, tree_path_count
 from .graphs import CactusProfile, Graph, validate_cactus
-from .indices import cactus_subtree_count, cactus_wiener
+from .indices import cactus_counters
 
-INVARIANTS = ("pn", "wiener", "subtrees")
+INVARIANTS = tuple(cactus_counters())
 
 
 def _evaluate(
@@ -27,7 +26,7 @@ def _evaluate(
     """Every requested invariant of every census graph, and whether it is an
     end-triangle cactus, validating each graph once.  Only the numbers are
     kept: holding every profile of a large census would cost memory."""
-    counters = {"pn": cactus_path_count, "wiener": cactus_wiener, "subtrees": cactus_subtree_count}
+    counters = cactus_counters()
     for invariant in invariants:
         if invariant not in counters:
             raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
@@ -236,16 +235,13 @@ def verify_theorems(
         checks.append(Check("pn_min_is_end_triangle_family", True, ok, detail))
 
     # PFG and BSG sit at opposite extremes of the Wiener index and of the subtree number
-    for inv, pfg_side, bsg_side, counter in (
-        ("wiener", "min", "max", cactus_wiener),
-        ("subtrees", "max", "min", cactus_subtree_count),
-    ):
+    for inv, pfg_side, bsg_side in (("wiener", "min", "max"), ("subtrees", "max", "min")):
         if inv not in reports:
             continue
         keys, detail = _side(reports[inv], pfg_side)
         pfg_ok, tie = None, ""
         if k >= 1:
-            expected, tie = _pfg_and_ties(n, k, counter)
+            expected, tie = _pfg_and_ties(n, k, cactus_counters()[inv])
             pfg_ok = keys == expected
         checks.append(Check(f"{inv}_{pfg_side}_is_pfg", k >= 1, pfg_ok, detail + tie))
         keys, detail = _side(reports[inv], bsg_side)

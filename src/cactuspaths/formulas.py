@@ -1,12 +1,12 @@
 """Closed-form subpath counts for trees, cycles, unicyclic graphs, connected
 graphs, and the extremal cactus families.
 
-Two evaluators exist for the pseudo-triangle-chain maximum.  The term-by-term
-summation (ptc_summation) agrees with exhaustive path enumeration and is the
-value used throughout the package.  The fully simplified expression
-(ptc_printed) does not: desk checks show a constant offset of +16 for odd n
-and a half-integral value for even n.  It is kept, as an exact rational, only
-for the reconciliation report.
+Two evaluators exist for the pseudo-triangle-chain maximum.  The summation
+over pairs of cycles, in closed form (ptc_summation), agrees with exhaustive
+path enumeration and is the value used throughout the package.  The fully
+simplified expression as printed (ptc_printed) does not: it overshoots by 16
+for odd n and by 33/2 for even n, from two misprinted constants.  It is kept,
+as an exact rational, only for the reconciliation report.
 """
 
 from __future__ import annotations
@@ -85,20 +85,26 @@ def ptc_shape(n: int, k: int) -> PtcShape:
 
 
 def ptc_summation(n: int, k: int) -> int:
-    """Subpath number of PTC(n, k), evaluated term by term.
+    """Subpath number of PTC(n, k), in O(1) big-integer operations.
 
-    Pairs in cycles i..j contribute 2^(j-i+1) paths each; the terms below
-    group those contributions by how far apart the two cycles sit.  Empty
-    sums (k = 2, 3) are zero.
+    Pairs in cycles i..j contribute 2^(j-i+1) paths each.  Grouped by how
+    far apart the two cycles sit, those terms are geometric sums, which
+    with P = 2^k and the end-cycle lengths n1, n2 total
+
+        (n1-1)(n2-1)P + 2(n1+n2-2)(P-4) + 4P - 16k + 16 + n1^2 + n2^2 + 8k - 17.
+
+    The function keeps the name and signature it had when it added the terms
+    one by one; the tests keep that sum as its oracle.
     """
     shape = ptc_shape(n, k)
     n1, n2 = shape.n1, shape.n2
-    total = (n1 - 1) * (n2 - 1) * 2**k
-    total += sum(2 * (n1 - 1) * 2 ** (i + 1) for i in range(1, k - 1))
-    total += sum(2 * (n2 - 1) * 2 ** (i + 1) for i in range(1, k - 1))
-    total += sum(4 * 2 ** (i + 1) * (k - 2 - i) for i in range(1, k - 2))
-    total += n1 * n1 + n2 * n2 + 9 * (k - 2) - (k - 1)
-    return total
+    p = 2**k
+    return (
+        (n1 - 1) * (n2 - 1) * p
+        + 2 * (n1 + n2 - 2) * (p - 4)
+        + 4 * p - 16 * k + 16
+        + n1 * n1 + n2 * n2 + 8 * k - 17
+    )
 
 
 def ptc_delta(n: int, k: int) -> int:

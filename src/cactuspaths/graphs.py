@@ -249,25 +249,6 @@ class Block:
 _edges_of = attrgetter("edges")  # the key that orders BlockCutTree.blocks
 
 
-def _cycle_order(vertices: set[int], edges: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Canonical traversal of a cycle block: start at the minimum vertex and
-    step first to its smaller neighbor."""
-    nbrs: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    start = min(vertices)
-    order = [start]
-    prev = start
-    cur = min(nbrs[start])
-    while cur != start:
-        order.append(cur)
-        a, b = nbrs[cur]
-        nxt = b if a == prev else a
-        prev, cur = cur, nxt
-    return tuple(order)
-
-
 @dataclass(frozen=True)
 class BlockCutTree:
     """Blocks and cut vertices of a connected graph.
@@ -421,7 +402,19 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
             continue
         vertices = {x for e in raw for x in e}
         if len(edges) == len(vertices):
-            blocks.append(Block(CYCLE, _cycle_order(vertices, edges), edges))
+            # raw holds the ring in DFS push order: the tree edges down from
+            # its top, which the first and last edges share, then the back
+            # edge up to the top
+            cur = raw[0][0] if raw[0][0] in raw[-1] else raw[0][1]
+            ring = [cur]
+            for a, b in raw[:-1]:
+                cur = b if a == cur else a
+                ring.append(cur)
+            i = ring.index(min(ring))  # start at the least vertex and step
+            ring = ring[i:] + ring[:i]  # first to its smaller neighbour
+            if ring[-1] < ring[1]:
+                ring[1:] = ring[:0:-1]
+            blocks.append(Block(CYCLE, tuple(ring), edges))
         else:
             blocks.append(Block(OTHER, tuple(sorted(vertices)), edges))
     blocks.sort(key=_edges_of)

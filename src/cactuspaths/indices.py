@@ -9,6 +9,7 @@ integer operations: the sweeps and the triple of a cactus use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .counting import BudgetExceededError, cactus_path_count, count_paths, work_budget
 from .graphs import (
@@ -188,6 +189,14 @@ def cactus_wiener(profile: CactusProfile) -> int:
     return total
 
 
+def cactus_counters() -> dict[str, Callable[[CactusProfile], int]]:
+    """The linear counter of each invariant on a cactus profile, by the name
+    that the sweeps, the CLI and InvariantTriple's fields use.  Built on
+    each call from this module's names, so that a wrapper put over one of
+    them, as perfbench/tracer.py does, sees the calls."""
+    return {"pn": cactus_path_count, "wiener": cactus_wiener, "subtrees": cactus_subtree_count}
+
+
 @dataclass(frozen=True)
 class InvariantTriple:
     """Subpath number, Wiener index, and subtree number of one graph."""
@@ -216,6 +225,4 @@ def invariant_triple(g: Graph, budget: int | None = None) -> InvariantTriple:
         return InvariantTriple(
             count_paths(g, budget=budget), wiener(g), subtree_count(g, budget=budget)
         )
-    return InvariantTriple(
-        cactus_path_count(profile), cactus_wiener(profile), cactus_subtree_count(profile)
-    )
+    return InvariantTriple(**{name: count(profile) for name, count in cactus_counters().items()})

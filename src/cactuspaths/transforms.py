@@ -11,9 +11,11 @@ fixed sign:
   cycle_to_triangle       pn down  expels a vertex from a long cycle onto a bridge
   split_interior_triangle pn down  strips one branch vertex of an interior triangle
 
-Free choices (which bridge, which neighbor, ...) default to the smallest
-valid labels so results are reproducible; the monotonicity holds for every
-valid choice, so callers may also pass choices explicitly.
+Each rule takes only the graph.  Its free choices (which bridge, which
+neighbor, ...) go to the smallest valid labels, so results are
+reproducible; the monotonicity holds for every valid choice, which the
+tests check by applying each rule to relabelled copies of a graph, where
+the smallest labels pick other moves.
 
 The rules read what they need off the profile's block-cut tree, in which a
 cycle vertex of degree > 2 is a cut vertex, so no rule reads the graph's
@@ -34,10 +36,11 @@ from dataclasses import dataclass
 
 from .counting import cactus_path_count
 from .graphs import (
-    Block,
+    CYCLE,
     BlockCutTree,
     CactusProfile,
     Graph,
+    _normalize_edge,
     is_cactus_chain,
     patch_cactus,
     validate_cactus,
@@ -78,10 +81,6 @@ class TransformResult:
         }
 
 
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 class _Walk:
     """The graph a fixpoint driver stands at: its profile and, once
     counted, its pn.  _apply moves it on to the graph each step builds."""
@@ -110,8 +109,8 @@ def _profile(g: Graph) -> CactusProfile:
 
 def _apply(rule: str, profile: CactusProfile, removed, added) -> TransformResult:
     g = profile.graph
-    removed = tuple(_norm(u, v) for u, v in removed)
-    added = tuple(_norm(u, v) for u, v in added)
+    removed = tuple(_normalize_edge(u, v) for u, v in removed)
+    added = tuple(_normalize_edge(u, v) for u, v in added)
     edges = set(g.edges)
     for e in removed:
         if e not in edges:
@@ -145,34 +144,22 @@ def _ring_neighbors(block, u: int) -> tuple[int, int]:
     return ring[i - 1], ring[(i + 1) % len(ring)]
 
 
-def bridge_slide(
-    g: Graph, bridge: tuple[int, int] | None = None, w: int | None = None
-) -> TransformResult:
+def bridge_slide(g: Graph) -> TransformResult:
     """Reroute a cycle through a bridge endpoint: for a bridge uv with v on
     cycle C and w a neighbor of v on C, replace vw by uw.  The bridge joins
     the enlarged cycle, pn strictly increases, and one bridge disappears."""
     profile = _profile(g)
     if not profile.bridges:
         raise TransformError("bridge_slide needs a bridge")
+    tree = profile.tree
     candidates: list[tuple[int, int, int]] = []  # (u, v, w)
-    cycles_at: dict[int, list[Block]] = {}
-    for i in profile.cycle_blocks:
-        blk = profile.tree.blocks[i]
-        for x in blk.vertices:
-            cycles_at.setdefault(x, []).append(blk)
     for a, b in profile.bridges:
         for u, v in ((a, b), (b, a)):
-            for blk in cycles_at.get(v, ()):
-                candidates.extend((u, v, x) for x in _ring_neighbors(blk, v))
-    if bridge is not None:
-        e = _norm(*bridge)
-        candidates = [c for c in candidates if _norm(c[0], c[1]) == e]
-        if not candidates:
-            raise TransformError(f"edge {e} is not a bridge with an endpoint on a cycle")
-    if w is not None:
-        candidates = [c for c in candidates if c[2] == w]
-        if not candidates:
-            raise TransformError(f"vertex {w} is not a valid cycle neighbor here")
+            # v lies on a cycle as well as on the bridge only as a cut vertex
+            for i in tree.blocks_of_cut_vertex.get(v, ()):
+                blk = tree.blocks[i]
+                if blk.kind == CYCLE:
+                    candidates.extend((u, v, x) for x in _ring_neighbors(blk, v))
     if not candidates:
         raise TransformError("no bridge has an endpoint on a cycle")
     u, v, x = min(candidates)
@@ -331,9 +318,7 @@ def balance_end_cycles(g: Graph) -> TransformResult:
     )
 
 
-def cycle_to_triangle(
-    g: Graph, u: int | None = None, v: int | None = None
-) -> TransformResult:
+def cycle_to_triangle(g: Graph) -> TransformResult:
     """Shrink a cycle of length >= 4: remove a cycle edge uv and connect v to
     u's other cycle neighbor w, leaving u hanging on the new bridge uw.
     pn strictly decreases (this inverts bridge_slide)."""
@@ -349,17 +334,11 @@ def cycle_to_triangle(
             candidates.append((x, q, p))
     if not candidates:
         raise TransformError("every cycle is already a triangle")
-    if u is not None:
-        candidates = [c for c in candidates if c[0] == u]
-    if v is not None:
-        candidates = [c for c in candidates if c[1] == v]
-    if not candidates:
-        raise TransformError("no cycle of length >= 4 through the given vertices")
     x, p, q = min(candidates)
     return _apply("to-triangle", profile, removed=[(x, p)], added=[(p, q)])
 
 
-def split_interior_triangle(g: Graph, triangle: int | None = None) -> TransformResult:
+def split_interior_triangle(g: Graph) -> TransformResult:
     """In an all-triangle cactus, take an interior triangle with branch
     vertices u1, u2 and reattach every outside edge of u2 to u1, strictly
     decreasing pn and making the triangle an end triangle."""
@@ -368,9 +347,7 @@ def split_interior_triangle(g: Graph, triangle: int | None = None) -> TransformR
         raise TransformError("every cycle must be a triangle first")
     if not profile.interior_cycles:
         raise TransformError("no interior triangle")
-    c_idx = profile.interior_cycles[0] if triangle is None else triangle
-    if c_idx not in profile.interior_cycles:
-        raise TransformError(f"block {c_idx} is not an interior triangle")
+    c_idx = profile.interior_cycles[0]
     tree = profile.tree
     u1, u2 = tree.incidence[c_idx][:2]
     # every block is a bridge or a triangle, so u2's neighbours on its other

@@ -75,6 +75,29 @@ def test_ptc_summation_frozen_values(n, k, expected):
     assert ptc_summation(n, k) == expected
 
 
+def ptc_term_by_term(n, k):
+    """PTC(n, k)'s subpath number added up term by term: pairs in cycles
+    i..j contribute 2^(j-i+1) paths each, grouped by how far apart the two
+    cycles sit.  Empty sums (k = 2, 3) are zero."""
+    shape = ptc_shape(n, k)
+    n1, n2 = shape.n1, shape.n2
+    total = (n1 - 1) * (n2 - 1) * 2**k
+    total += sum(2 * (n1 - 1) * 2 ** (i + 1) for i in range(1, k - 1))
+    total += sum(2 * (n2 - 1) * 2 ** (i + 1) for i in range(1, k - 1))
+    total += sum(4 * 2 ** (i + 1) * (k - 2 - i) for i in range(1, k - 2))
+    total += n1 * n1 + n2 * n2 + 9 * (k - 2) - (k - 1)
+    return total
+
+
+def test_ptc_summation_matches_the_term_by_term_sum():
+    pairs = 0
+    for k in range(2, 40):
+        for n in range(2 * k + 1, 2 * k + 60):
+            assert ptc_summation(n, k) == ptc_term_by_term(n, k)
+            pairs += 1
+    assert pairs == 2242
+
+
 def test_ptc_summation_matches_oracle_grid():
     for k in (2, 3, 4, 5):
         for n in range(2 * k + 1, 15):
@@ -99,6 +122,18 @@ def test_printed_vs_summation_offsets():
                 assert diff == 16
             else:
                 assert diff.denominator == 2
+
+
+def test_printed_form_has_two_misprints():
+    """With the tail's constant -25 for +7, and delta 1/2 - 2^(k-2) for
+    1 - 2^(k-2) at even n, the printed form is the count."""
+    for k in range(2, 30):
+        for n in range(2 * k + 1, 2 * k + 30):
+            head = (n * n - 4 * k * n + 14 * n + 4 * k * k - 28 * k + 49) * 2 ** (k - 2)
+            tail = Fraction(n * n - 4 * k * n - 6 * n + 4 * k * k - 4 * k - 25, 2)
+            delta = 0 if n % 2 else Fraction(1, 2) - 2 ** (k - 2)
+            assert head + tail + delta == ptc_summation(n, k)
+            assert ptc_printed(n, k) - ptc_summation(n, k) == (16 if n % 2 else Fraction(33, 2))
 
 
 def test_ptc_delta():
