@@ -15,7 +15,8 @@ from the blocks the parent already knows plus the one just attached, so no
 candidate is built as a Graph.  enumerate_cacti sorts each census by
 canonical_key, which costs one key per class; census_in_generation_order
 skips that sort, for callers (the theorem checks) whose results depend only
-on the set of classes.  canonical_key stays the oracle for the code.
+on the set of classes, and hands out the sorted census instead once it is
+cached.  canonical_key stays the oracle for the code.
 """
 
 from __future__ import annotations
@@ -252,11 +253,14 @@ def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ..
 
 
 def census_in_generation_order(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
-    """The classes of enumerate_cacti(n, k, guard) in the order they are
-    generated, with no canonical_key computed: the representatives may
-    differ from enumerate_cacti's, the set of classes does not.  The guard
-    binds the same censuses."""
-    return _census(n, k, guard, _unsorted_census)
+    """The classes of enumerate_cacti(n, k, guard), in the order they are
+    generated and with no canonical_key computed, unless that census is
+    already sorted and cached: then enumerate_cacti's classes, so that a
+    process that does both holds the census once.  The representatives and
+    their order may differ from enumerate_cacti's, the set of classes does
+    not.  The guard binds the same censuses either way."""
+    cache = _cactus_census if (n, k) in _cactus_census else _unsorted_census
+    return _census(n, k, guard, cache)
 
 
 def _census(
@@ -332,8 +336,8 @@ def _code(n: int, rings: Rings) -> str:
     least of its ring's rotations and reflections.  The strings nest, so the
     cost can grow quadratically in n, which census sizes do not feel.
     """
-    if not rings:
-        return "()"
+    if not rings:  # K_1, or the empty graph K_0
+        return "()" if n else ""
     nb = len(rings)
     at: list[list[int]] = [[] for _ in range(n)]
     for b, ring in enumerate(rings):

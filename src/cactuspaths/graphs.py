@@ -523,18 +523,35 @@ def patch_cactus(
 ) -> CactusProfile:
     """validate_cactus(after), where `after` is profile.graph with the edges
     `removed` taken out and `added` put in (sorted pairs, at least one edge
-    in all), decomposing only the part of the block-cut tree that the change
-    touches; it raises what validate_cactus(after) raises.
+    in all), decomposing only the blocks that the change touches; it raises
+    what validate_cactus(after) raises.
 
-    That part is S, the smallest subtree of tree.rooted holding the node of
-    every endpoint of every removed and added edge.  A removed edge's
-    endpoints lie on its block or on cut nodes next to that block, so S
-    holds the block of every removed edge.  Each component of the tree
+    Let S be the smallest subtree of tree.rooted holding the node of every
+    endpoint of every removed and added edge: the terminals.  A removed
+    edge's endpoints lie on its block or on cut nodes next to that block, so
+    S holds the block of every removed edge.  Each component of the tree
     outside S hangs from S at one vertex, so the blocks outside S are blocks
     of `after`, `after` is connected exactly when H = (edges of S's blocks -
     removed + added) is, and the other blocks of `after` are the blocks of H.
-    Only a vertex of H can change its cut status, and only a block of H its
-    incidence; the new profile reads the rest off the new tree.
+
+    Much of S may be untouched.  Call a block of S free when it is not a
+    terminal and has exactly two neighbours in S, neither a terminal: no
+    vertex of a free block is an endpoint of a removed or added edge.  Free
+    blocks and the cut nodes between two of them make up paths of S, each
+    from a non-terminal cut vertex c1 to another, c2.  H' stands each such
+    stretch P in by a path c1-x-c2 through a fresh vertex x (a path, so that
+    it cannot collide with an edge c1c2).  P joins c1 to c2 as the path does
+    and meets the rest of H only at c1 and c2, so H' is connected exactly
+    when H is.  If every stand-in edge is a bridge of H', no cycle of H
+    leaves P, so P's blocks are blocks of `after` and the other blocks of H
+    are those of H' without the stand-ins; a block of H' that is not an
+    edge or a cycle is one of H, in the same edge order.  c1 keeps every
+    edge and lies on two blocks of S, so it stays a cut vertex and no block
+    of P changes its incidence.  When a stand-in lies on a cycle of H' (an
+    added edge closes a cycle through P), H is decomposed whole instead.
+
+    Only a vertex of H' can change its cut status, and only a block of H'
+    its incidence; the new profile reads the rest off the new tree.
     """
     tree = profile.tree
     rooted = tree.rooted
@@ -553,38 +570,56 @@ def patch_cactus(
         while t not in region:
             region.add(t)
             t = parent[t]
-    gone = sorted(x for x in region if x < nblocks)
+    near: dict[int, list[int]] = {t: [] for t in region}  # neighbours in S
+    for t in region:
+        if t != top:
+            near[t].append(parent[t])
+            near[parent[t]].append(t)
 
-    # H relabelled monotonically onto 0..h-1, so that each cycle keeps its
-    # start and direction and the blocks keep their edge order
-    edges = {e for i in gone for e in tree.blocks[i].edges}
-    edges.difference_update(removed)
-    edges.update(added)
-    verts = sorted({x for i in gone for x in tree.blocks[i].vertices})
-    index = {x: j for j, x in enumerate(verts)}
-    local = block_cut_tree(
-        Graph(len(verts), frozenset((index[u], index[v]) for u, v in edges))
-    )
-    fresh = [
-        Block(
-            b.kind,
-            tuple(verts[x] for x in b.vertices),
-            tuple((verts[u], verts[v]) for u, v in b.edges),
-        )
-        for b in local.blocks
-    ]
+    fixed = set(terminals)
+    free = {
+        t
+        for t, ts in near.items()
+        if t < nblocks and len(ts) == 2 and t not in fixed and fixed.isdisjoint(ts)
+    }
+
+    def beyond(y: int, x: int) -> int:  # the neighbour in S of y other than x
+        a, b = near[y]
+        return b if a == x else a
+
+    ends = []  # (c1, c2) for each stretch
+    done = set()
+    for b in sorted(free):
+        if b in done:
+            continue
+        done.add(b)
+        pair = []
+        for c in near[b]:
+            x = b
+            while len(near[c]) == 2 and free.issuperset(near[c]):
+                x = beyond(c, x)  # on along the stretch, to the next free block
+                c = beyond(x, c)
+                done.add(x)
+            pair.append(rooted.cuts[c - nblocks])
+        ends.append(pair)
+
+    gone = sorted(i for i in region if i < nblocks and i not in free)
+    local = _local_blocks(tree, gone, ends, removed, added)
+    if local is None:  # a stand-in lies on a cycle: decompose all of S
+        gone = sorted(i for i in region if i < nblocks)
+        local = _local_blocks(tree, gone, (), removed, added)
+    verts, fresh, cuts = local
     _refuse_non_cactus(fresh)
 
-    # a vertex of H that lies on a block outside S keeps that block, so it
+    # a vertex of H' that lies on a block outside S keeps that block, so it
     # stays a cut vertex
-    cuts = {verts[j] for j in local.cut_vertices}
     cuts.update(
         x
         for x in tree.cut_vertices.intersection(verts)
         if any(i not in region for i in tree.blocks_of_cut_vertex[x])
     )
 
-    # splice H's blocks in among the others, which are still sorted by edges
+    # splice H's new blocks in among the others, which are still sorted by edges
     blocks = list(tree.blocks)
     incidence = list(tree.incidence)
     for i in reversed(gone):
@@ -604,6 +639,41 @@ def patch_cactus(
     )
     _check_rank(patched)
     return patched
+
+
+def _local_blocks(tree: BlockCutTree, gone, ends, removed, added):
+    """The real vertices of H' (the edges of the blocks `gone` - removed +
+    added, plus a path c1-x-c2 through a fresh vertex x for each pair in
+    `ends`), its blocks other than the stand-ins and its real cut vertices;
+    None if a stand-in edge lies on a cycle.
+
+    H' is relabelled monotonically onto 0..h-1 with the fresh vertices
+    after, so that each cycle keeps its start and direction and the blocks
+    keep their edge order."""
+    edges = {e for i in gone for e in tree.blocks[i].edges}
+    edges.difference_update(removed)
+    edges.update(added)
+    verts = sorted({x for i in gone for x in tree.blocks[i].vertices}.union(*ends))
+    h = len(verts)
+    index = {x: j for j, x in enumerate(verts)}
+    local_edges = {(index[u], index[v]) for u, v in edges}
+    for x, (c1, c2) in enumerate(ends, h):
+        local_edges.update(((index[c1], x), (index[c2], x)))
+    local = block_cut_tree(Graph(h + len(ends), frozenset(local_edges)))
+    fresh = []
+    for b in local.blocks:
+        if max(b.vertices) >= h:
+            if b.kind != BRIDGE:
+                return None
+            continue
+        fresh.append(
+            Block(
+                b.kind,
+                tuple(verts[x] for x in b.vertices),
+                tuple((verts[u], verts[v]) for u, v in b.edges),
+            )
+        )
+    return verts, fresh, {verts[j] for j in local.cut_vertices if j < h}
 
 
 def is_cactus(g: Graph) -> bool:

@@ -25,8 +25,12 @@ The fixpoint drivers thread one profile per step: the profile and pn that a
 step computes for the graph it builds are the ones the next step reads.  A
 driver validates its input once; each step derives the profile of the graph
 it builds from the one before with graphs.patch_cactus, which re-decomposes
-only the part of the block-cut tree that the step's edges touch, and counts
-the new pn once.
+only the blocks that the step's edges touch and stands a short path in for
+each untouched stretch between them (so shrink and balance decompose their
+two cycles, not the chain between them), and counts the new pn once.
+chain_straighten finds its branch node from per-subtree counts of branch
+nodes in one pass over the tree, and lists the components around that node
+alone.
 """
 
 from __future__ import annotations
@@ -202,9 +206,10 @@ def chain_straighten(g: Graph) -> TransformResult:
     if is_cactus_chain(profile):
         raise TransformError("graph is already a cactus chain")
     tree = profile.tree
+    rooted = tree.rooted
     blocks = tree.blocks
     nblocks = len(blocks)
-    cuts = tree.rooted.cuts
+    cuts = rooted.cuts
     degree = [len(c) for c in tree.incidence]
     degree += [len(tree.blocks_of_cut_vertex[v]) for v in cuts]
 
@@ -214,14 +219,23 @@ def chain_straighten(g: Graph) -> TransformResult:
     def is_thread(comp: list[int]) -> bool:
         return all(degree[x] < 3 for x in comp)
 
-    chosen = None
-    for t in sorted((x for x, d in enumerate(degree) if d >= 3), key=order):
-        comps = _components_without(tree, t)
-        if sum(1 for c in comps if not is_thread(c)) <= 1:
-            chosen = (t, comps)
-            break
-    assert chosen is not None  # a deepest branch node always qualifies
-    t, comps = chosen
+    # the branch nodes in each subtree of tree.rooted, and the children of
+    # each node whose subtrees hold one
+    below = [int(d >= 3) for d in degree]
+    branched = [0] * len(degree)
+    for x in reversed(rooted.order[1:]):  # children before parents
+        p = rooted.parent[x]
+        below[p] += below[x]
+        branched[p] += below[x] > 0
+    # take the first branch node t in order at which at most one component
+    # of the tree without t is not a thread: one per child subtree, and the
+    # part above t; a deepest branch node always qualifies
+    t = next(
+        x
+        for x in (*range(nblocks, len(degree)), *range(nblocks))
+        if degree[x] >= 3 and branched[x] + (below[x] < below[0]) <= 1
+    )
+    comps = _components_without(tree, t)
 
     def comp_key(comp: list[int]) -> tuple[int, tuple[bool, int]]:
         size = len(set().union(*(blocks[x].vertices for x in comp if x < nblocks)))

@@ -66,6 +66,13 @@ def test_key_examples():
     assert cactus_key(path_graph(4)) == "([(())][(())])"
 
 
+def test_empty_graph_and_single_vertex_have_distinct_keys():
+    k0, k1 = Graph(0, frozenset()), Graph(1, frozenset())
+    assert canonical_key(k0) != canonical_key(k1)
+    assert cactus_key(k0) == ""
+    assert cactus_key(k1) == "()"
+
+
 def test_non_cactus_is_refused():
     with pytest.raises(NotCactusError):
         cactus_key(complete_graph(4))

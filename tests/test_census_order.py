@@ -9,7 +9,12 @@ from test_census_build import CENSUS_SHA256
 from test_pinned_digests import KEYS_SHA256
 
 from cactuspaths import census as census_module
-from cactuspaths.census import canonical_key, clear_caches, enumerate_cacti
+from cactuspaths.census import (
+    canonical_key,
+    census_in_generation_order,
+    clear_caches,
+    enumerate_cacti,
+)
 from cactuspaths.cli import EXIT_BUDGET, EXIT_OK, main
 from cactuspaths.extremal import verify_theorems
 
@@ -45,12 +50,21 @@ def test_cache_state_and_call_order_do_not_change_results():
 
 
 def test_clear_caches_empties_both_cactus_censuses():
-    enumerate_cacti(7, 2)
+    # from cold, so that verify_theorems fills the unsorted census
+    clear_caches()
     verify_theorems(7, 2)
+    enumerate_cacti(7, 2)
     assert census_module._cactus_census and census_module._unsorted_census
     clear_caches()
     assert census_module._cactus_census == census_module._unsorted_census == {}
     assert canonical_key.cache_info().currsize == 0
+
+
+def test_a_cached_sorted_census_is_not_held_twice():
+    clear_caches()
+    census = enumerate_cacti(7, 2)
+    assert census_in_generation_order(7, 2) is census
+    assert census_module._unsorted_census == {}
 
 
 def test_verify_keys_only_the_classes_it_compares():

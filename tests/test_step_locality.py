@@ -1,0 +1,69 @@
+"""A rewrite step re-decomposes only the blocks it changes: on a long chain
+a shrink or balance step decomposes the two cycles it edits and a bounded
+rest, however long the chain between them, and chain_straighten lists the
+components around one branch node per step."""
+
+import pytest
+
+from cactuspaths import graphs, transforms
+from cactuspaths.families import cycle_chain
+from cactuspaths.graphs import validate_cactus
+from cactuspaths.transforms import maximize_to_fixpoint, minimize_to_fixpoint
+
+from test_pinned_outputs import relabeled_random_cacti
+
+
+CHAINS = {
+    # every interior hexagon shrinks to a triangle, into the nearer end
+    "shrink": (lambda m: [3] + [6] * m + [3], 6),
+    # a triangle chain whose end cycles differ by 8
+    "balance": (lambda m: [3] + [3] * m + [11], 5),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(CHAINS))
+@pytest.mark.parametrize("m", [5, 40])
+def test_shrink_and_balance_decompose_a_bounded_graph(monkeypatch, rule, m):
+    """Each step hands block_cut_tree one graph, whose vertices beyond those
+    of the cycles the step edits number at most `extra`, for every m: the
+    blocks between the two cycles are not decomposed."""
+    sizes = []
+    original = graphs.block_cut_tree
+
+    def counted(g):
+        sizes.append(g.n)
+        return original(g)
+
+    shape, extra = CHAINS[rule]
+    monkeypatch.setattr(graphs, "block_cut_tree", counted)
+    g = cycle_chain(shape(m))
+    _, history = maximize_to_fixpoint(g)
+    monkeypatch.undo()
+    assert {step.rule for step in history} == {rule}
+    assert len(sizes) == 1 + len(history)  # the input, then one per step
+    beyond = []
+    for step, size in zip(history, sizes[1:]):
+        edited = [
+            b for b in validate_cactus(step.before).tree.blocks if set(b.edges) & set(step.removed)
+        ]
+        assert len(edited) == 2
+        beyond.append(size - sum(len(b) for b in edited))
+    assert max(beyond) == extra
+
+
+def test_components_are_listed_once_per_step(monkeypatch):
+    """Both drivers on the pinned cacti: only chain_straighten and shrink
+    list the components of the tree without a node, each once per step."""
+    calls = []
+    original = transforms._components_without
+
+    def counted(tree, x):
+        calls.append(x)
+        return original(tree, x)
+
+    monkeypatch.setattr(transforms, "_components_without", counted)
+    for g in relabeled_random_cacti(77, 20, 60):
+        for driver in (maximize_to_fixpoint, minimize_to_fixpoint):
+            calls.clear()
+            _, history = driver(g)
+            assert len(calls) == sum(s.rule in ("chain-straighten", "shrink") for s in history)
