@@ -72,9 +72,7 @@ def canonical_key(g: Graph) -> bytes:
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(color[v], []).append(v)
-    layout: list[int] = []
-    for c in sorted(by_color):
-        layout.extend([c] * len(by_color[c]))
+    layout = sorted(color)
 
     # frontier holds every placement achieving the best bit-string prefix
     frontier: list[tuple[tuple[int, ...], int]] = [((), 0)]
@@ -126,76 +124,47 @@ def canonical_key(g: Graph) -> bytes:
     return n.to_bytes(2, "big") + bits.to_bytes(max(1, (nbits + 7) // 8), "big")
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Brute-force isomorphism test (for cross-checking canonical keys)."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    n = g.n
-    gm, hm = g.adjacency_masks, h.adjacency_masks
-    gc = _stable_coloring(n, gm)
-    hc = _stable_coloring(n, hm)
-    if sorted(gc) != sorted(hc):
-        return False
+def _isomorphisms(gm: tuple[int, ...], gc: list[int], hm: tuple[int, ...], hc: list[int]):
+    """Every isomorphism from the graph with adjacency masks gm and colours
+    gc to the one with hm and hc that maps each vertex to one of its colour,
+    as a tuple of images: a backtracking search that places the vertices of
+    the first graph in order."""
+    n = len(gm)
     mapping = [-1] * n
     used = [False] * n
 
-    def place(v: int) -> bool:
+    def place(v: int):
         if v == n:
-            return True
+            yield tuple(mapping)
+            return
         for w in range(n):
             if used[w] or gc[v] != hc[w]:
                 continue
-            ok = True
-            for u in range(v):
-                gbit = (gm[v] >> u) & 1
-                hbit = (hm[w] >> mapping[u]) & 1
-                if gbit != hbit:
-                    ok = False
-                    break
-            if ok:
+            if all((gm[v] >> u) & 1 == (hm[w] >> mapping[u]) & 1 for u in range(v)):
                 mapping[v] = w
                 used[w] = True
-                if place(v + 1):
-                    return True
+                yield from place(v + 1)
                 used[w] = False
-        return False
 
     return place(0)
 
 
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Brute-force isomorphism test (for cross-checking canonical keys)."""
+    if g.n != h.n or g.m != h.m:
+        return False
+    gm, hm = g.adjacency_masks, h.adjacency_masks
+    gc, hc = _stable_coloring(g.n, gm), _stable_coloring(h.n, hm)
+    if sorted(gc) != sorted(hc):
+        return False
+    return next(_isomorphisms(gm, gc, hm, hc), None) is not None
+
+
 def count_automorphisms(g: Graph) -> int:
     """Number of adjacency-preserving vertex permutations."""
-    n = g.n
-    if n == 0:
-        return 1
     masks = g.adjacency_masks
-    color = _stable_coloring(n, masks)
-    mapping = [-1] * n
-    used = [False] * n
-    total = 0
-
-    def place(v: int) -> None:
-        nonlocal total
-        if v == n:
-            total += 1
-            return
-        for w in range(n):
-            if used[w] or color[v] != color[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if (masks[v] >> u) & 1 != (masks[w] >> mapping[u]) & 1:
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                place(v + 1)
-                used[w] = False
-        return
-
-    place(0)
-    return total
+    color = _stable_coloring(g.n, masks)
+    return sum(1 for _ in _isomorphisms(masks, color, masks, color))
 
 
 _graph_census: dict[int, tuple[Graph, ...]] = {}

@@ -534,21 +534,23 @@ def patch_cactus(
     of `after`, `after` is connected exactly when H = (edges of S's blocks -
     removed + added) is, and the other blocks of `after` are the blocks of H.
 
-    Much of S may be untouched.  Call a block of S free when it is not a
-    terminal and has exactly two neighbours in S, neither a terminal: no
-    vertex of a free block is an endpoint of a removed or added edge.  Free
-    blocks and the cut nodes between two of them make up paths of S, each
-    from a non-terminal cut vertex c1 to another, c2.  H' stands each such
-    stretch P in by a path c1-x-c2 through a fresh vertex x (a path, so that
-    it cannot collide with an edge c1c2).  P joins c1 to c2 as the path does
-    and meets the rest of H only at c1 and c2, so H' is connected exactly
-    when H is.  If every stand-in edge is a bridge of H', no cycle of H
-    leaves P, so P's blocks are blocks of `after` and the other blocks of H
-    are those of H' without the stand-ins; a block of H' that is not an
-    edge or a cycle is one of H, in the same edge order.  c1 keeps every
-    edge and lies on two blocks of S, so it stays a cut vertex and no block
-    of P changes its incidence.  When a stand-in lies on a cycle of H' (an
-    added edge closes a cycle through P), H is decomposed whole instead.
+    Much of S may be untouched.  Call a block of S free when neither it nor
+    any of its neighbours in S is a terminal: no vertex of a free block is
+    an endpoint of a removed or added edge.  The free blocks make up
+    connected runs, joined through the cut vertices whose neighbours in S
+    are all free; the other cut vertices next to a run are its rim.  Every
+    leaf of S is a terminal, so a run has at least two rim vertices, and
+    each of them also lies on a block of S that is not free.  H' stands
+    each run in by a star: a fresh vertex joined to every rim vertex.  A
+    run is connected and meets the rest of H only at its rim, so H' is
+    connected exactly when H is.  If every star edge is a bridge of H', no
+    cycle of H leaves the run, so the run's blocks are blocks of `after`
+    and the other blocks of H are those of H' without the star edges; a
+    block of H' that is not an edge or a cycle is one of H, in the same
+    edge order.  A rim vertex keeps every edge, so it stays a cut vertex,
+    and no block of the run changes its incidence.  When a star edge lies
+    on a cycle of H' (an added edge closes a cycle through the run), H is
+    decomposed whole instead.
 
     Only a vertex of H' can change its cut status, and only a block of H'
     its incidence; the new profile reads the rest off the new tree.
@@ -577,35 +579,28 @@ def patch_cactus(
             near[parent[t]].append(t)
 
     fixed = set(terminals)
-    free = {
-        t
-        for t, ts in near.items()
-        if t < nblocks and len(ts) == 2 and t not in fixed and fixed.isdisjoint(ts)
-    }
-
-    def beyond(y: int, x: int) -> int:  # the neighbour in S of y other than x
-        a, b = near[y]
-        return b if a == x else a
-
-    ends = []  # (c1, c2) for each stretch
-    done = set()
+    free = {t for t, ts in near.items() if t < nblocks and t not in fixed and fixed.isdisjoint(ts)}
+    rims = []  # the rim of each run of free blocks
+    seen = set()
     for b in sorted(free):
-        if b in done:
+        if b in seen:
             continue
-        done.add(b)
-        pair = []
-        for c in near[b]:
-            x = b
-            while len(near[c]) == 2 and free.issuperset(near[c]):
-                x = beyond(c, x)  # on along the stretch, to the next free block
-                c = beyond(x, c)
-                done.add(x)
-            pair.append(rooted.cuts[c - nblocks])
-        ends.append(pair)
+        seen.add(b)
+        rim, stack = [], [b]
+        while stack:
+            for c in near[stack.pop()]:
+                if not free.issuperset(near[c]):
+                    rim.append(rooted.cuts[c - nblocks])
+                    continue
+                for y in near[c]:  # c joins its free blocks into the run
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        rims.append(rim)
 
     gone = sorted(i for i in region if i < nblocks and i not in free)
-    local = _local_blocks(tree, gone, ends, removed, added)
-    if local is None:  # a stand-in lies on a cycle: decompose all of S
+    local = _local_blocks(tree, gone, rims, removed, added)
+    if local is None:  # a star edge lies on a cycle: decompose all of S
         gone = sorted(i for i in region if i < nblocks)
         local = _local_blocks(tree, gone, (), removed, added)
     verts, fresh, cuts = local
@@ -641,11 +636,11 @@ def patch_cactus(
     return patched
 
 
-def _local_blocks(tree: BlockCutTree, gone, ends, removed, added):
+def _local_blocks(tree: BlockCutTree, gone, rims, removed, added):
     """The real vertices of H' (the edges of the blocks `gone` - removed +
-    added, plus a path c1-x-c2 through a fresh vertex x for each pair in
-    `ends`), its blocks other than the stand-ins and its real cut vertices;
-    None if a stand-in edge lies on a cycle.
+    added, plus a star from a fresh vertex to each rim in `rims`, whose
+    vertices lie on those blocks), its blocks other than the star edges and
+    its real cut vertices; None if a star edge lies on a cycle.
 
     H' is relabelled monotonically onto 0..h-1 with the fresh vertices
     after, so that each cycle keeps its start and direction and the blocks
@@ -653,13 +648,13 @@ def _local_blocks(tree: BlockCutTree, gone, ends, removed, added):
     edges = {e for i in gone for e in tree.blocks[i].edges}
     edges.difference_update(removed)
     edges.update(added)
-    verts = sorted({x for i in gone for x in tree.blocks[i].vertices}.union(*ends))
+    verts = sorted({x for i in gone for x in tree.blocks[i].vertices})
     h = len(verts)
     index = {x: j for j, x in enumerate(verts)}
     local_edges = {(index[u], index[v]) for u, v in edges}
-    for x, (c1, c2) in enumerate(ends, h):
-        local_edges.update(((index[c1], x), (index[c2], x)))
-    local = block_cut_tree(Graph(h + len(ends), frozenset(local_edges)))
+    for x, rim in enumerate(rims, h):
+        local_edges.update((index[c], x) for c in rim)
+    local = block_cut_tree(Graph(h + len(rims), frozenset(local_edges)))
     fresh = []
     for b in local.blocks:
         if max(b.vertices) >= h:

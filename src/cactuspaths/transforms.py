@@ -25,9 +25,10 @@ The fixpoint drivers thread one profile per step: the profile and pn that a
 step computes for the graph it builds are the ones the next step reads.  A
 driver validates its input once; each step derives the profile of the graph
 it builds from the one before with graphs.patch_cactus, which re-decomposes
-only the blocks that the step's edges touch and stands a short path in for
-each untouched stretch between them (so shrink and balance decompose their
-two cycles, not the chain between them), and counts the new pn once.
+only the blocks that the step's edges touch and stands a star in for each
+connected run of untouched blocks between them (so shrink and balance
+decompose their two cycles, not the chain between them), and counts the
+new pn once.
 chain_straighten finds its branch node from per-subtree counts of branch
 nodes in one pass over the tree, and lists the components around that node
 alone.
@@ -337,18 +338,13 @@ def cycle_to_triangle(g: Graph) -> TransformResult:
     u's other cycle neighbor w, leaving u hanging on the new bridge uw.
     pn strictly decreases (this inverts bridge_slide)."""
     profile = _profile(g)
-    candidates: list[tuple[int, int, int]] = []
-    for i in profile.cycle_blocks:
-        blk = profile.tree.blocks[i]
-        if len(blk) < 4:
-            continue
-        for x in blk.vertices:
-            p, q = _ring_neighbors(blk, x)
-            candidates.append((x, p, q))
-            candidates.append((x, q, p))
-    if not candidates:
+    rings = [profile.tree.blocks[i].vertices for i in profile.cycle_blocks]
+    rings = [r for r in rings if len(r) >= 4]
+    if not rings:
         raise TransformError("every cycle is already a triangle")
-    x, p, q = min(candidates)
+    # a ring starts at its least vertex and steps first to that vertex's
+    # smaller neighbour, so the least (x, p, q) of each ring is its start
+    x, p, q = min((r[0], r[1], r[-1]) for r in rings)
     return _apply("to-triangle", profile, removed=[(x, p)], added=[(p, q)])
 
 
