@@ -123,7 +123,9 @@ class Graph:
         return Graph(self.n, self.edges | {e})
 
     def relabel(self, perm) -> "Graph":
-        """Apply the vertex relabeling v -> perm[v]."""
+        """Apply the vertex relabeling v -> perm[v], a permutation of 0..n-1."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}")
         return Graph.from_edges(self.n, ((perm[u], perm[v]) for u, v in self.edges))
 
     def to_json(self) -> dict:

@@ -21,14 +21,16 @@ The rules read what they need off the profile's block-cut tree, in which a
 cycle vertex of degree > 2 is a cut vertex, so no rule reads the graph's
 degrees or adjacency.
 
-The fixpoint drivers thread one profile per step: the profile and pn that a
-step computes for the graph it builds are the ones the next step reads.  A
-driver validates its input once; each step derives the profile of the graph
-it builds from the one before with graphs.patch_cactus, which re-decomposes
-only the blocks that the step's edges touch and stands a star in for each
-connected run of untouched blocks between them (so shrink and balance
-decompose their two cycles, not the chain between them), and counts the
-new pn once.
+Each rule is a private move, which reads a profile and returns the edges it
+removes and adds, behind a public wrapper that validates the graph, counts
+its pn and applies the move with _step.  The fixpoint drivers call the
+moves and pass each step's profile and pn explicitly: a driver validates
+its input and counts its pn once, and each _step derives the profile of the
+graph it builds from the one before with graphs.patch_cactus, which
+re-decomposes only the blocks that the step's edges touch and stands a star
+in for each connected run of untouched blocks between them (so shrink and
+balance decompose their two cycles, not the chain between them), and
+counts the new pn once.
 chain_straighten finds its branch node from per-subtree counts of branch
 nodes in one pass over the tree, and lists the components around that node
 alone.
@@ -36,7 +38,6 @@ alone.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .counting import cactus_path_count
@@ -86,36 +87,17 @@ class TransformResult:
         }
 
 
-class _Walk:
-    """The graph a fixpoint driver stands at: its profile and, once
-    counted, its pn.  _apply moves it on to the graph each step builds."""
-
-    __slots__ = ("profile", "pn")
-
-    def __init__(self, profile: CactusProfile) -> None:
-        self.profile = profile
-        self.pn: int | None = None
+# a rule's move: the edges it removes and the edges it adds
+_Move = tuple[list[tuple[int, int]], list[tuple[int, int]]]
 
 
-# Set only while a fixpoint driver runs; a context variable, so drivers in
-# other threads or tasks each see their own.  The rules keep their public
-# signatures, so the driver hands them the profile of the graph it stands
-# at through this variable instead of an argument; a rule applied to any
-# other graph validates it.
-_walk: ContextVar[_Walk | None] = ContextVar("_walk", default=None)
-
-
-def _profile(g: Graph) -> CactusProfile:
-    walk = _walk.get()
-    if walk is not None and walk.profile.graph is g:
-        return walk.profile
-    return validate_cactus(g)
-
-
-def _apply(rule: str, profile: CactusProfile, removed, added) -> TransformResult:
+def _step(
+    rule: str, profile: CactusProfile, pn: int, move: _Move
+) -> tuple[TransformResult, CactusProfile, int]:
+    """Apply move to the graph of profile, whose pn is pn: the step, and
+    the profile and pn of the graph it builds."""
     g = profile.graph
-    removed = tuple(_normalize_edge(u, v) for u, v in removed)
-    added = tuple(_normalize_edge(u, v) for u, v in added)
+    removed, added = (tuple(_normalize_edge(u, v) for u, v in es) for es in move)
     edges = set(g.edges)
     for e in removed:
         if e not in edges:
@@ -126,21 +108,25 @@ def _apply(rule: str, profile: CactusProfile, removed, added) -> TransformResult
             raise ValueError(f"edge {e} already present")
         edges.add(e)
     after = Graph(g.n, frozenset(edges))
-    walk = _walk.get()
-    if walk is None or walk.profile is not profile:
-        walk = _Walk(profile)  # a rule called on its own: nothing to move on
-    pn_before = walk.pn if walk.pn is not None else cactus_path_count(profile)
-    walk.profile = patch_cactus(profile, after, removed, added)
-    walk.pn = cactus_path_count(walk.profile)
-    return TransformResult(
+    profile = patch_cactus(profile, after, removed, added)
+    pn_after = cactus_path_count(profile)
+    step = TransformResult(
         rule=rule,
         before=g,
         after=after,
-        pn_before=pn_before,
-        pn_after=walk.pn,
+        pn_before=pn,
+        pn_after=pn_after,
         removed=removed,
         added=added,
     )
+    return step, profile, pn_after
+
+
+def _apply(rule: str, g: Graph) -> TransformResult:
+    """The step of the named rule on g, outside a driver."""
+    profile = validate_cactus(g)
+    move = _MOVES[rule](profile)
+    return _step(rule, profile, cactus_path_count(profile), move)[0]
 
 
 def _ring_neighbors(block, u: int) -> tuple[int, int]:
@@ -153,7 +139,10 @@ def bridge_slide(g: Graph) -> TransformResult:
     """Reroute a cycle through a bridge endpoint: for a bridge uv with v on
     cycle C and w a neighbor of v on C, replace vw by uw.  The bridge joins
     the enlarged cycle, pn strictly increases, and one bridge disappears."""
-    profile = _profile(g)
+    return _apply("bridge-slide", g)
+
+
+def _bridge_slide(profile: CactusProfile) -> _Move:
     if not profile.bridges:
         raise TransformError("bridge_slide needs a bridge")
     tree = profile.tree
@@ -168,7 +157,7 @@ def bridge_slide(g: Graph) -> TransformResult:
     if not candidates:
         raise TransformError("no bridge has an endpoint on a cycle")
     u, v, x = min(candidates)
-    return _apply("bridge-slide", profile, removed=[(v, x)], added=[(u, x)])
+    return [(v, x)], [(u, x)]
 
 
 def _components_without(tree: BlockCutTree, x: int) -> list[list[int]]:
@@ -201,7 +190,10 @@ def _components_without(tree: BlockCutTree, x: int) -> list[list[int]]:
 def chain_straighten(g: Graph) -> TransformResult:
     """Detach a cycle from a branch point of the block-cut tree and hang it
     on the far end of a smallest thread, strictly increasing pn."""
-    profile = _profile(g)
+    return _apply("chain-straighten", g)
+
+
+def _chain_straighten(profile: CactusProfile) -> _Move:
     if profile.bridges:
         raise TransformError("chain_straighten needs a bridgeless cactus")
     if is_cactus_chain(profile):
@@ -262,23 +254,23 @@ def chain_straighten(g: Graph) -> TransformResult:
 
     leaf = min(x for x in t1 if degree[x] == 1)  # a cut vertex has degree >= 2
     z = min(x for x in blocks[leaf].vertices if x not in tree.cut_vertices)
-    return _apply(
-        "chain-straighten", profile, removed=[(u, v), (u, w)], added=[(z, v), (z, w)]
-    )
+    return [(u, v), (u, w)], [(z, v), (z, w)]
 
 
-def _chain_profile(g: Graph) -> CactusProfile:
-    profile = _profile(g)
+def _require_chain(profile: CactusProfile) -> None:
     if not is_cactus_chain(profile):
         raise TransformError("this rewrite needs a bridgeless cactus chain")
-    return profile
 
 
 def shrink_interior_cycle(g: Graph) -> TransformResult:
     """On a cactus chain, pull a non-intersection vertex u out of an interior
     cycle of length >= 4 and splice it into the end cycle on the smaller
     side, strictly increasing pn."""
-    profile = _chain_profile(g)
+    return _apply("shrink", g)
+
+
+def _shrink_interior_cycle(profile: CactusProfile) -> _Move:
+    _require_chain(profile)
     blocks = profile.tree.blocks
     targets = [i for i in profile.interior_cycles if len(blocks[i]) >= 4]
     if not targets:
@@ -300,19 +292,18 @@ def shrink_interior_cycle(g: Graph) -> TransformResult:
     )
     a = min(x for x in end_block.vertices if x not in profile.intersection_vertices)
     b = min(_ring_neighbors(end_block, a))
-    return _apply(
-        "shrink",
-        profile,
-        removed=[(u, v), (u, w), (a, b)],
-        added=[(u, a), (u, b), (v, w)],
-    )
+    return [(u, v), (u, w), (a, b)], [(u, a), (u, b), (v, w)]
 
 
 def balance_end_cycles(g: Graph) -> TransformResult:
     """On a cactus chain whose interior cycles are all triangles, move one
     vertex from the larger end cycle to the smaller, strictly increasing
     pn."""
-    profile = _chain_profile(g)
+    return _apply("balance", g)
+
+
+def _balance_end_cycles(profile: CactusProfile) -> _Move:
+    _require_chain(profile)
     if any(len(profile.tree.blocks[i]) >= 4 for i in profile.interior_cycles):
         raise TransformError("shrink interior cycles to triangles first")
     if len(profile.end_cycles) != 2:
@@ -325,19 +316,17 @@ def balance_end_cycles(g: Graph) -> TransformResult:
     v, w = _ring_neighbors(big, u)
     a = min(x for x in small.vertex_set if x not in profile.intersection_vertices)
     b = min(_ring_neighbors(small, a))
-    return _apply(
-        "balance",
-        profile,
-        removed=[(u, v), (u, w), (a, b)],
-        added=[(v, w), (u, a), (u, b)],
-    )
+    return [(u, v), (u, w), (a, b)], [(v, w), (u, a), (u, b)]
 
 
 def cycle_to_triangle(g: Graph) -> TransformResult:
     """Shrink a cycle of length >= 4: remove a cycle edge uv and connect v to
     u's other cycle neighbor w, leaving u hanging on the new bridge uw.
     pn strictly decreases (this inverts bridge_slide)."""
-    profile = _profile(g)
+    return _apply("to-triangle", g)
+
+
+def _cycle_to_triangle(profile: CactusProfile) -> _Move:
     rings = [profile.tree.blocks[i].vertices for i in profile.cycle_blocks]
     rings = [r for r in rings if len(r) >= 4]
     if not rings:
@@ -345,14 +334,17 @@ def cycle_to_triangle(g: Graph) -> TransformResult:
     # a ring starts at its least vertex and steps first to that vertex's
     # smaller neighbour, so the least (x, p, q) of each ring is its start
     x, p, q = min((r[0], r[1], r[-1]) for r in rings)
-    return _apply("to-triangle", profile, removed=[(x, p)], added=[(p, q)])
+    return [(x, p)], [(p, q)]
 
 
 def split_interior_triangle(g: Graph) -> TransformResult:
     """In an all-triangle cactus, take an interior triangle with branch
     vertices u1, u2 and reattach every outside edge of u2 to u1, strictly
     decreasing pn and making the triangle an end triangle."""
-    profile = _profile(g)
+    return _apply("split", g)
+
+
+def _split_interior_triangle(profile: CactusProfile) -> _Move:
     if any(len(profile.tree.blocks[i]) >= 4 for i in profile.cycle_blocks):
         raise TransformError("every cycle must be a triangle first")
     if not profile.interior_cycles:
@@ -369,12 +361,7 @@ def split_interior_triangle(g: Graph) -> TransformResult:
         for x in tree.blocks[i].vertices
         if x != u2
     )
-    return _apply(
-        "split",
-        profile,
-        removed=[(u2, x) for x in outside],
-        added=[(u1, x) for x in outside],
-    )
+    return [(u2, x) for x in outside], [(u1, x) for x in outside]
 
 
 RULES = {
@@ -386,42 +373,49 @@ RULES = {
     "split": split_interior_triangle,
 }
 
+_MOVES = {
+    "bridge-slide": _bridge_slide,
+    "chain-straighten": _chain_straighten,
+    "shrink": _shrink_interior_cycle,
+    "balance": _balance_end_cycles,
+    "to-triangle": _cycle_to_triangle,
+    "split": _split_interior_triangle,
+}
+
 
 def _fixpoint(g: Graph, cap: int | None, pick) -> tuple[Graph, list[TransformResult]]:
-    """Apply the rule pick(profile) names until it names none.  Only g is
-    validated; each step patches the profile of the graph it builds and
-    counts its pn once."""
-    walk = _Walk(validate_cactus(g))
-    limit = cap if cap is not None else g.n + walk.profile.k + g.m
+    """Apply the move pick(profile) names until it names none.  Only g is
+    validated and counted from scratch; each step patches the profile of
+    the graph it builds and counts its pn once."""
+    profile = validate_cactus(g)
+    pn = cactus_path_count(profile)
+    limit = cap if cap is not None else g.n + profile.k + g.m
     history: list[TransformResult] = []
-    token = _walk.set(walk)
-    try:
-        while (rule := pick(walk.profile)) is not None:
-            history.append(rule(walk.profile.graph))
-            if len(history) > limit:
-                raise FixpointError(f"no fixpoint within {limit} rewrites")
-    finally:
-        _walk.reset(token)
-    return walk.profile.graph, history
+    while (rule := pick(profile)) is not None:
+        step, profile, pn = _step(rule, profile, pn, _MOVES[rule](profile))
+        history.append(step)
+        if len(history) > limit:
+            raise FixpointError(f"no fixpoint within {limit} rewrites")
+    return profile.graph, history
 
 
-def _pick_increasing(profile: CactusProfile):
+def _pick_increasing(profile: CactusProfile) -> str | None:
     if profile.bridges and profile.k >= 1:
-        return bridge_slide
+        return "bridge-slide"
     if profile.k < 2:
         return None
     if not is_cactus_chain(profile):
-        return chain_straighten
+        return "chain-straighten"
     if any(len(profile.tree.blocks[i]) >= 4 for i in profile.interior_cycles):
-        return shrink_interior_cycle
+        return "shrink"
     e1, e2 = (profile.tree.blocks[i] for i in profile.end_cycles)
-    return balance_end_cycles if abs(len(e1) - len(e2)) >= 2 else None
+    return "balance" if abs(len(e1) - len(e2)) >= 2 else None
 
 
-def _pick_decreasing(profile: CactusProfile):
+def _pick_decreasing(profile: CactusProfile) -> str | None:
     if any(len(profile.tree.blocks[i]) >= 4 for i in profile.cycle_blocks):
-        return cycle_to_triangle
-    return split_interior_triangle if profile.interior_cycles else None
+        return "to-triangle"
+    return "split" if profile.interior_cycles else None
 
 
 def maximize_to_fixpoint(

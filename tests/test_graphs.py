@@ -100,6 +100,15 @@ def test_round_trip_property(g):
     assert parse_edge_list(to_edge_list_text(g)) == g
 
 
+def test_relabel_needs_a_permutation():
+    g = Graph.from_edges(3, [(0, 2)])
+    assert g.relabel([2, 0, 1]) == Graph.from_edges(3, [(2, 1)])
+    # a repeated label, one too many and one too few
+    for perm in ([1, 1, 2], [0, 1, 2, 3], [0, 1]):
+        with pytest.raises(ValueError, match="permutation"):
+            g.relabel(perm)
+
+
 # ---------------------------------------------------------------- structure
 
 

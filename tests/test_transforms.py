@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from cactuspaths.families import (
 )
 from cactuspaths.graphs import Graph, is_cactus_chain, is_connected, validate_cactus
 from cactuspaths.transforms import (
+    RULES,
     FixpointError,
     TransformError,
     balance_end_cycles,
@@ -27,6 +29,8 @@ from cactuspaths.transforms import (
     shrink_interior_cycle,
     split_interior_triangle,
 )
+
+from test_pinned_outputs import relabeled_random_cacti
 
 TRIANGLE_PENDANT = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
@@ -340,3 +344,29 @@ def test_rules_validate_their_input_outside_a_driver(monkeypatch):
     validated = count_calls(monkeypatch, transforms, "validate_cactus")
     assert bridge_slide(history[0].before) == history[0]
     assert [args[0] for args in validated] == [history[0].before]
+
+
+DRIVER_RUNS = [
+    (driver, g)
+    for g in relabeled_random_cacti(77, 20, 60)
+    for driver in (maximize_to_fixpoint, minimize_to_fixpoint)
+]
+
+
+def test_every_driver_step_is_its_rule_applied_alone():
+    """A driver applies a rule's move to the profile it carries; the public
+    rule validates the graph and counts its pn first.  Both give one step."""
+    rules = set()
+    for driver, g in DRIVER_RUNS:
+        _, history = driver(g)
+        for step in history:
+            assert RULES[step.rule](step.before) == step
+            rules.add(step.rule)
+    assert rules == set(RULES)
+
+
+def test_drivers_in_threads_match_sequential_runs():
+    sequential = [driver(g) for driver, g in DRIVER_RUNS]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(lambda run: run[0](run[1]), DRIVER_RUNS))
+    assert threaded == sequential
