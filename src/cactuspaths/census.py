@@ -12,11 +12,12 @@ vertex or a fresh cycle; every cactus arises this way because its block-cut
 tree always has a removable leaf block.  Candidates are deduplicated by an
 AHU code of the block-cut tree rooted at its centre (cactus_key), computed
 from the blocks the parent already knows plus the one just attached, so no
-candidate is built as a Graph.  enumerate_cacti sorts each census by
-canonical_key, which costs one key per class; census_in_generation_order
-skips that sort, for callers (the theorem checks) whose results depend only
-on the set of classes, and hands out the sorted census instead once it is
-cached.  canonical_key stays the oracle for the code.
+candidate is built as a Graph.  Every census is grown, and cached once, in
+the order its classes are found; census_in_generation_order hands it out as
+it is, for callers (the theorem checks) whose results depend only on the
+set of classes, and enumerate_cacti sorts the census it is asked for by
+canonical_key, which costs one key per class of that census only.
+canonical_key stays the oracle for the code.
 """
 
 from __future__ import annotations
@@ -205,36 +206,27 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 
 
 Census = tuple[tuple[Graph, ...], tuple[Rings, ...]]
-# (n, k) -> the classes and each one's rings, sorted by canonical_key
+# (n, k) -> the classes in the order _grow finds them, and each one's rings;
+# a class's representative depends on the order of its parents, so no
+# cached census is ever reordered
 _cactus_census: dict[tuple[int, int], Census] = {}
-# the same classes in the order _grow finds them; a class's representative
-# depends on the order of its parents, so each cache grows only from itself
-_unsorted_census: dict[tuple[int, int], Census] = {}
 
 
 def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
     """One representative per isomorphism class of connected cacti with n
-    vertices and cycle rank k, in canonical-key order.
+    vertices and cycle rank k, in canonical-key order: the classes of
+    census_in_generation_order(n, k, guard), sorted.
 
     Raises CensusSizeError when this census or any smaller census it is
     grown from has more classes than the guard, cached or not."""
-    return _census(n, k, guard, _cactus_census)
+    return tuple(sorted(census_in_generation_order(n, k, guard), key=canonical_key))
 
 
 def census_in_generation_order(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
-    """The classes of enumerate_cacti(n, k, guard), in the order they are
-    generated and with no canonical_key computed, unless that census is
-    already sorted and cached: then enumerate_cacti's classes, so that a
-    process that does both holds the census once.  The representatives and
-    their order may differ from enumerate_cacti's, the set of classes does
-    not.  The guard binds the same censuses either way."""
-    cache = _cactus_census if (n, k) in _cactus_census else _unsorted_census
-    return _census(n, k, guard, cache)
-
-
-def _census(
-    n: int, k: int, guard: int | None, cache: dict[tuple[int, int], Census]
-) -> tuple[Graph, ...]:
+    """The classes of enumerate_cacti(n, k, guard), the same Graph objects,
+    in the order they are generated and with no canonical_key computed; the
+    order does not depend on what was called before.  The guard binds as in
+    enumerate_cacti."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if k < 0 or 2 * k + 1 > n:
@@ -246,23 +238,22 @@ def _census(
     for size in range(1, n + 1):
         for rank in range(max(0, (size - spare) // 2), min(k, (size - 1) // 2) + 1):
             key = (size, rank)
-            if key not in cache:
-                cache[key] = _grow(size, rank, limit, cache)
-            if len(cache[key][0]) > limit:
+            if key not in _cactus_census:
+                _cactus_census[key] = _grow(size, rank, limit)
+            if len(_cactus_census[key][0]) > limit:
                 raise _over_guard(size, rank, limit)
-    return cache[(n, k)][0]
+    return _cactus_census[(n, k)][0]
 
 
 def _over_guard(n: int, k: int, limit: int) -> CensusSizeError:
     return CensusSizeError(f"census for n={n}, k={k} has more classes than the guard {limit}")
 
 
-def _grow(n: int, k: int, limit: int, cache: dict[tuple[int, int], Census]) -> Census:
-    """The (n, k) census and each class's rings, from the censuses in cache
-    it is grown from: every cactus is a smaller one with a pendant vertex or
-    a cycle attached at one vertex.  The first candidate with a new code
-    represents its class; the classes are sorted by canonical_key when cache
-    is the sorted one."""
+def _grow(n: int, k: int, limit: int) -> Census:
+    """The (n, k) census and each class's rings, from the cached censuses it
+    is grown from: every cactus is a smaller one with a pendant vertex or a
+    cycle attached at one vertex.  The first candidate with a new code
+    represents its class, and the classes keep the order they are found in."""
     if n == 1:
         return (Graph(1, frozenset()),), ((),)
     seen: dict[str, tuple[frozenset[tuple[int, int]], Rings]] = {}  # code -> first candidate
@@ -275,20 +266,18 @@ def _grow(n: int, k: int, limit: int, cache: dict[tuple[int, int], Census]) -> C
                 raise _over_guard(n, k, limit)
 
     # a parent (n', k') with 2k' + 1 > n' has no census: nothing to grow
-    for h, rings in zip(*cache.get((n - 1, k), ((), ()))):
+    for h, rings in zip(*_cactus_census.get((n - 1, k), ((), ()))):
         for v in range(h.n):
             record(h.edges, [(v, n - 1)], rings + ((v, n - 1),))
     for length in range(3, n + 1):
-        for h, rings in zip(*cache.get((n - length + 1, k - 1), ((), ()))):
+        for h, rings in zip(*_cactus_census.get((n - length + 1, k - 1), ((), ()))):
             for v in range(h.n):
                 ring = (v, *range(h.n, n))
                 new = [(v, h.n), (v, n - 1)]
                 new += [(u, u + 1) for u in range(h.n, n - 1)]
                 record(h.edges, new, rings + (ring,))
-    classes = [(Graph(n, edges), rings) for edges, rings in seen.values()]
-    if cache is _cactus_census:
-        classes.sort(key=lambda c: canonical_key(c[0]))
-    return tuple(g for g, _ in classes), tuple(r for _, r in classes)
+    graphs = tuple(Graph(n, edges) for edges, _ in seen.values())
+    return graphs, tuple(rings for _, rings in seen.values())
 
 
 def _code(n: int, rings: Rings) -> str:
@@ -366,24 +355,23 @@ def cactus_key(g: Graph) -> str:
     """Label-independent key of a cactus, from its block-cut tree: equal for
     isomorphic cacti, distinct otherwise.  Raises what validate_cactus
     raises (NotCactusError on a connected non-cactus).  Meant for census
-    sizes: on a path or a cycle the time grows quadratically (about 3 s for
-    a 32,001-vertex path)."""
+    sizes: on a path or a cycle the time grows quadratically."""
     profile = validate_cactus(g)
     return _code(g.n, tuple(b.vertices for b in profile.tree.blocks))
 
 
 def clear_caches() -> None:
-    """Empty the census caches and the canonical-key cache (whose hit and
-    miss statistics restart too); results do not depend on them."""
+    """Empty the graph census, the cactus census and the canonical-key cache
+    (whose hit and miss statistics restart too); results do not depend on
+    them."""
     _graph_census.clear()
     _cactus_census.clear()
-    _unsorted_census.clear()
     canonical_key.cache_clear()
 
 
 def cactus_census_sizes(n: int) -> dict[int, int]:
     """Class counts of the cactus censuses for every feasible k at this n."""
-    return {k: len(enumerate_cacti(n, k)) for k in range((n - 1) // 2 + 1)}
+    return {k: len(census_in_generation_order(n, k)) for k in range((n - 1) // 2 + 1)}
 
 
 def random_cactus(n: int, k: int, rng: random.Random) -> Graph:

@@ -21,9 +21,9 @@ def classes(max_n):
 def test_census_keys_are_distinct_and_match_the_rings():
     keys = set()
     for n, k, census in classes(10):
-        rings = census_module._cactus_census[(n, k)][1]
-        assert len(rings) == len(census)
-        for g, r in zip(census, rings):
+        graphs, rings = census_module._cactus_census[(n, k)]
+        assert len(graphs) == len(rings) == len(census)
+        for g, r in zip(graphs, rings):
             key = cactus_key(g)
             assert census_module._code(n, r) == key, g
             keys.add(key)
