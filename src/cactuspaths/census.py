@@ -10,20 +10,26 @@ high-symmetry graphs (stars, friendship graphs) tractable.
 enumerate_cacti grows every cactus from smaller ones by attaching a pendant
 vertex or a fresh cycle; every cactus arises this way because its block-cut
 tree always has a removable leaf block.  Candidates are deduplicated by an
-AHU code of the block-cut tree rooted at its centre (cactus_key), computed
-from the blocks the parent already knows plus the one just attached, so no
-candidate is built as a Graph.  Every census is grown, and cached once, in
-the order its classes are found; census_in_generation_order hands it out as
-it is, for callers (the theorem checks) whose results depend only on the
-set of classes, and enumerate_cacti sorts the census it is asked for by
-canonical_key, which costs one key per class of that census only.
-canonical_key stays the oracle for the code.
+AHU code of the block-cut tree rooted at its centre (cactus_key's code,
+_code).  Each parent's tree is peeled once per census it grows, and each
+candidate is coded from that peel by recoding only the route from the
+attachment vertex up to the centre (_attach); the centre moves, one node
+toward the new block, only when that block hangs at a non-cut vertex of a
+deepest leaf block.  No candidate is built as a Graph, and _code stays the
+oracle that _attach must equal string for string.  Every census is grown,
+and cached once, in the order its classes are found;
+census_in_generation_order hands it out as it is, for callers (the theorem
+checks) whose results depend only on the set of classes, and
+enumerate_cacti sorts the census it is asked for by canonical_key, which
+costs one key per class of that census only.  canonical_key stays the
+oracle for the code.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph, is_connected, validate_cactus
 
@@ -252,38 +258,53 @@ def _over_guard(n: int, k: int, limit: int) -> CensusSizeError:
 def _grow(n: int, k: int, limit: int) -> Census:
     """The (n, k) census and each class's rings, from the cached censuses it
     is grown from: every cactus is a smaller one with a pendant vertex or a
-    cycle attached at one vertex.  The first candidate with a new code
-    represents its class, and the classes keep the order they are found in."""
+    cycle attached at one vertex.  Each parent is peeled once, and each of
+    its candidates coded from that peel (_attach).  The first candidate with
+    a new code represents its class, and the classes keep the order they are
+    found in."""
     if n == 1:
         return (Graph(1, frozenset()),), ((),)
     seen: dict[str, tuple[frozenset[tuple[int, int]], Rings]] = {}  # code -> first candidate
-
-    def record(edges: frozenset[tuple[int, int]], new: list[tuple[int, int]], rings: Rings) -> None:
-        code = _code(n, rings)
-        if code not in seen:
-            seen[code] = (edges.union(new), rings)
-            if len(seen) > limit:
-                raise _over_guard(n, k, limit)
-
-    # a parent (n', k') with 2k' + 1 > n' has no census: nothing to grow
-    for h, rings in zip(*_cactus_census.get((n - 1, k), ((), ()))):
-        for v in range(h.n):
-            record(h.edges, [(v, n - 1)], rings + ((v, n - 1),))
-    for length in range(3, n + 1):
-        for h, rings in zip(*_cactus_census.get((n - length + 1, k - 1), ((), ()))):
+    # a pendant vertex is a ring of length 2; a parent (n', k') with
+    # 2k' + 1 > n' has no census: nothing to grow
+    for length in range(2, n + 1):
+        parents = _cactus_census.get((n - length + 1, k if length == 2 else k - 1), ((), ()))
+        for h, rings in zip(*parents):
+            state = _peel(h.n, rings)
             for v in range(h.n):
-                ring = (v, *range(h.n, n))
-                new = [(v, h.n), (v, n - 1)]
-                new += [(u, u + 1) for u in range(h.n, n - 1)]
-                record(h.edges, new, rings + (ring,))
+                code = _attach(state, rings, v, length)
+                if code not in seen:
+                    # for a pendant vertex, h.n == n - 1: one edge, twice
+                    new = [(v, h.n), (v, n - 1)] + [(u, u + 1) for u in range(h.n, n - 1)]
+                    seen[code] = (h.edges.union(new), rings + ((v, *range(h.n, n)),))
+                    if len(seen) > limit:
+                        raise _over_guard(n, k, limit)
     graphs = tuple(Graph(n, edges) for edges, _ in seen.values())
     return graphs, tuple(rings for _, rings in seen.values())
+
+
+class _Peel(NamedTuple):
+    """What _code's peel finds: the code, and every code it makes on the
+    way.  A cut vertex's or a block's code is its code as its parent's
+    child; the centre's is its code as the root."""
+
+    code: str  # the centred code
+    vcode: list[str]  # each vertex's code, "()" off the cut vertices
+    kids: list[list[str]]  # each cut vertex's child blocks' codes, sorted
+    home: list[int]  # each vertex's block towards the centre, -1 at the centre
+    bcode: list[str]  # each block's code
+    top: list[int]  # each block's top vertex, -1 at the centre
+    depth: list[int]  # each block's distance from the centre
+    cv: int  # the centre if it is a cut vertex, else -1
+    cb: int  # the centre if it is a block, else -1
+    r: int  # the centre's height: the depth of the deepest blocks
 
 
 def _code(n: int, rings: Rings) -> str:
     """Centred AHU code of the cactus on vertices 0..n-1 whose blocks are
     rings (a bridge as its two ends, a cycle in cyclic order): equal for two
-    cacti exactly when they are isomorphic.
+    cacti exactly when they are isomorphic.  It is cactus_key's code, and
+    the oracle for _attach.
 
     The leaves of the block-cut tree are blocks, so the tree has one centre.
     Peeling it leaf by leaf reaches the centre last and codes each node when
@@ -294,13 +315,39 @@ def _code(n: int, rings: Rings) -> str:
     least of its ring's rotations and reflections.  The strings nest, so the
     cost can grow quadratically in n, which census sizes do not feel.
     """
-    if not rings:  # K_1, or the empty graph K_0
-        return "()" if n else ""
+    return _peel(n, rings).code
+
+
+def _hang(seq: list[str]) -> str:
+    """A block's code as a child, from the codes of its ring after its top
+    vertex, in ring order (seq is reversed in place)."""
+    fwd = "".join(seq)
+    seq.reverse()
+    bwd = "".join(seq)
+    return "(" + (fwd if fwd <= bwd else bwd) + ")"
+
+
+def _root(seq: list[str]) -> str:
+    """A centre block's code, from the codes of its ring in ring order.
+
+    No code is a proper prefix of another (each is one bracketed term), so
+    two rotations compare as lists as their joined strings do."""
+    rotations = (s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq)))
+    return "(" + "".join(min(rotations)) + ")"
+
+
+def _peel(n: int, rings: Rings) -> _Peel:
+    """The peel that _code describes, and every code it makes on the way."""
     nb = len(rings)
     at: list[list[int]] = [[] for _ in range(n)]
     for b, ring in enumerate(rings):
         for v in ring:
             at[v].append(b)
+    home = [a[0] if len(a) == 1 else -1 for a in at]
+    vcode = ["()"] * n
+    kids: list[list[str]] = [[] for _ in range(n)]
+    if not rings:  # K_1, or the empty graph K_0
+        return _Peel("()" if n else "", vcode, kids, home, [], [], [], -1, -1, 0)
     cuts = [v for v in range(n) if len(at[v]) > 1]
     # count and id sum of each node's neighbours not yet peeled: once the
     # count is 1, the sum is the parent
@@ -311,8 +358,9 @@ def _code(n: int, rings: Rings) -> str:
         for b in at[v]:
             bdeg[b] += 1
             bsum[b] += v
-    vcode = ["()"] * n
-    kids: list[list[str]] = [[] for _ in range(n)]  # codes of a cut vertex's child blocks
+    bcode, top = [""] * nb, [-1] * nb
+    peeled: list[int] = []  # the blocks below the centre, in peeling order
+    cv = -1
     # peeling blocks can make only cut vertices leaves, and the other way
     # round, so the layers alternate, blocks first
     layer = [b for b in range(nb) if bdeg[b] == 1] if nb > 1 else [0]
@@ -322,33 +370,89 @@ def _code(n: int, rings: Rings) -> str:
         for b in layer:
             v, ring = bsum[b], rings[b]
             if len(ring) == 2:
-                kids[v].append("(" + vcode[ring[0] if ring[1] == v else ring[1]] + ")")
+                code = "(" + vcode[ring[0] if ring[1] == v else ring[1]] + ")"
             else:
                 i = ring.index(v)
-                seq = [vcode[u] for u in ring[i + 1 :] + ring[:i]]
-                fwd = "".join(seq)
-                seq.reverse()
-                bwd = "".join(seq)
-                kids[v].append("(" + (fwd if fwd <= bwd else bwd) + ")")
+                code = _hang([vcode[u] for u in ring[i + 1 :] + ring[:i]])
+            bcode[b], top[b] = code, v
+            kids[v].append(code)
             cdeg[v] -= 1
             csum[v] -= b
             if cdeg[v] == 1:
                 up.append(v)
+        peeled += layer
         left -= len(up)
+        for v in up:
+            kids[v].sort()
+            vcode[v] = "[" + "".join(kids[v]) + "]"
         if not left:
-            return "[" + "".join(sorted(kids[up[0]])) + "]"
+            cv = up[0]
+            break
         layer = []
         for v in up:
-            vcode[v] = "[" + "".join(sorted(kids[v])) + "]"
             b = csum[v]
+            home[v] = b
             bdeg[b] -= 1
             bsum[b] -= v
             if bdeg[b] == 1:
                 layer.append(b)
         left -= len(layer)
-    seq = [vcode[v] for v in rings[layer[0]]]
-    rotations = (s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq)))
-    return "(" + min("".join(r) for r in rotations) + ")"
+    depth = [0] * nb
+    for b in reversed(peeled):
+        t = top[b]
+        depth[b] = 1 if t == cv else depth[home[t]] + 2
+    if cv >= 0:
+        return _Peel(vcode[cv], vcode, kids, home, bcode, top, depth, cv, -1, max(depth))
+    cb = layer[0]
+    code = _root([vcode[v] for v in rings[cb]])
+    return _Peel(code, vcode, kids, home, bcode, top, depth, -1, cb, max(depth))
+
+
+def _attach(state: _Peel, rings: Rings, v: int, length: int) -> str:
+    """_code of the cactus with blocks rings plus a new block at v: a
+    pendant edge when length is 2, else a cycle of that length.  state is
+    the cactus's _peel, and only the nodes from v up to the centre are
+    recoded.
+
+    The new block is a leaf one below v.  The centre stays where it is
+    unless v is a non-cut vertex of a block at the centre's height r (a
+    leaf): the new leaf then lies at depth r + 2, and the centre moves one
+    node towards v (onto v itself when the cactus is a single block).  The
+    old centre is then coded as a child of the new one.
+    """
+    if not rings:
+        return "(" + "()" * length + ")"
+    _, vcode, kids, home, bcode, top, depth, cv, cb, r = state
+    ks = kids[v] + ["(" + "()" * (length - 1) + ")"]  # the route vertex's child codes
+    if v == cv:
+        ks.sort()
+        return "[" + "".join(ks) + "]"
+    moves = depth[home[v]] == r
+    t = v
+    while True:
+        b = home[t]
+        ring = rings[b]
+        if b == cb and moves:  # t is the new centre, the old one its child
+            i = ring.index(t)
+            ks.append(_hang([vcode[u] for u in ring[i + 1 :] + ring[:i]]))
+            ks.sort()
+            return "[" + "".join(ks) + "]"
+        ks.sort()
+        code = "[" + "".join(ks) + "]"
+        if b == cb:
+            return _root([code if u == t else vcode[u] for u in ring])
+        p = top[b]
+        ks = kids[p][:]
+        ks.remove(bcode[b])
+        if moves and p == cv:  # b is the new centre, the old one its child
+            old = "[" + "".join(ks) + "]"
+            return _root([code if u == t else old if u == p else vcode[u] for u in ring])
+        i = ring.index(p)
+        ks.append(_hang([code if u == t else vcode[u] for u in ring[i + 1 :] + ring[:i]]))
+        if p == cv:
+            ks.sort()
+            return "[" + "".join(ks) + "]"
+        t = p
 
 
 def cactus_key(g: Graph) -> str:
@@ -370,7 +474,10 @@ def clear_caches() -> None:
 
 
 def cactus_census_sizes(n: int) -> dict[int, int]:
-    """Class counts of the cactus censuses for every feasible k at this n."""
+    """Class counts of the cactus censuses for every feasible k at this n;
+    raises ValueError when n < 1, as census_in_generation_order does."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
     return {k: len(census_in_generation_order(n, k)) for k in range((n - 1) // 2 + 1)}
 
 

@@ -1,5 +1,6 @@
 """The block-cut-tree key that deduplicates the cactus census, against the
-generic canonical key."""
+generic canonical key, and the census's coding of each candidate from its
+parent's peel, against the key's code."""
 
 import random
 from itertools import combinations
@@ -9,7 +10,7 @@ import pytest
 from cactuspaths import census as census_module
 from cactuspaths.census import cactus_key, canonical_key, enumerate_cacti, random_cactus
 from cactuspaths.families import complete_graph, cycle_graph, path_graph
-from cactuspaths.graphs import Graph, NotCactusError
+from cactuspaths.graphs import Graph, NotCactusError, validate_cactus
 
 
 def classes(max_n):
@@ -55,6 +56,42 @@ def test_key_splits_like_the_canonical_key():
         assert (cactus_key(g) == cactus_key(h)) == same, (g, h)
         equal += same
     assert equal > 100
+
+
+def test_attach_codes_every_census_candidate_as_code_does():
+    # every parent and attachment that grows the censuses with n <= 9
+    checked = 0
+    for n in range(1, 9):
+        for k in range((n - 1) // 2 + 1):
+            census_module.census_in_generation_order(n, k)
+            graphs, ringss = census_module._cactus_census[(n, k)]
+            for h, rings in zip(graphs, ringss):
+                state = census_module._peel(h.n, rings)
+                for length in range(2, 9 - n + 2):
+                    for v in range(n):
+                        child = rings + ((v, *range(n, n + length - 1)),)
+                        code = census_module._code(n + length - 1, child)
+                        assert census_module._attach(state, rings, v, length) == code, (child, v)
+                        checked += 1
+    assert checked > 3000
+
+
+def test_attach_agrees_with_code_on_random_cacti():
+    rng = random.Random(4242)
+    single = onto_vertex = onto_block = 0
+    for _, h in random_cacti(9001, 2000, 90):
+        rings = tuple(b.vertices for b in validate_cactus(h).tree.blocks)
+        v = rng.randrange(h.n)
+        length = rng.choice((2, 2, 3, 4, 5))  # 2: a pendant edge
+        n = h.n + length - 1
+        state = census_module._peel(h.n, rings)
+        child = census_module._peel(n, rings + ((v, *range(h.n, n)),))
+        assert census_module._attach(state, rings, v, length) == child.code, (h, v, length)
+        single += len(rings) == 1
+        # the new ring comes last, so the old blocks keep their indices
+        onto_vertex += child.cv >= 0 and child.cv != state.cv
+        onto_block += child.cb >= 0 and child.cb != state.cb
+    assert min(single, onto_vertex, onto_block) > 20, (single, onto_vertex, onto_block)
 
 
 def test_key_examples():

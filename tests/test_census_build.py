@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cactuspaths.census import CensusSizeError, enumerate_cacti
+from cactuspaths.census import CensusSizeError, census_in_generation_order, enumerate_cacti
 
 # Classes per (n, k), k = 0, 1, ...; row sums are OEIS A000083.
 CLASSES = {
@@ -47,6 +47,12 @@ def test_class_counts_are_pinned():
     for n in range(1, TIER1_MAX_N + 1):
         counts = tuple(len(enumerate_cacti(n, k)) for k in range(len(CLASSES[n])))
         assert counts == CLASSES[n], n
+
+
+def test_class_counts_one_size_past_tier1_are_pinned():
+    # the n = 11 row, from the generation order, which computes no key
+    counts = tuple(len(census_in_generation_order(11, k)) for k in range(len(CLASSES[11])))
+    assert counts == CLASSES[11]
 
 
 def test_representatives_and_order_are_pinned():

@@ -4,7 +4,7 @@ with the documented exception, message or exit code."""
 import pytest
 
 from cactuspaths import cli
-from cactuspaths.census import all_graphs, count_automorphisms
+from cactuspaths.census import all_graphs, cactus_census_sizes, count_automorphisms
 from cactuspaths.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY, main
 from cactuspaths.counting import BudgetExceededError, count_paths, cycles_on_route
 from cactuspaths.families import (
@@ -127,6 +127,9 @@ def test_formulas_and_census_refuse_negative_sizes():
         min_cactus_path_count(5, -1)
     with pytest.raises(ValueError, match="vertex count must be non-negative"):
         all_graphs(-1)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            cactus_census_sizes(n)
 
 
 def test_the_empty_graph_has_one_automorphism():
