@@ -20,16 +20,22 @@ from .indices import cactus_counters
 INVARIANTS = tuple(cactus_counters())
 
 
+def _known(invariants: tuple[str, ...]) -> tuple[str, ...]:
+    """The named invariants, each once and in the order first named; raises
+    ValueError on an unknown name, before any census is built."""
+    for invariant in invariants:
+        if invariant not in INVARIANTS:
+            raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
+    return tuple(dict.fromkeys(invariants))
+
+
 def _evaluate(
     census: tuple[Graph, ...], invariants: tuple[str, ...]
 ) -> tuple[dict[str, list[int]], list[bool]]:
-    """Every requested invariant of every census graph, and whether it is an
-    end-triangle cactus, validating each graph once.  Only the numbers are
-    kept: holding every profile of a large census would cost memory."""
+    """Every invariant of every census graph, names as _known returns them,
+    and whether it is an end-triangle cactus, validating each graph once.
+    Only the numbers are kept: a large census's profiles would cost memory."""
     counters = cactus_counters()
-    for invariant in invariants:
-        if invariant not in counters:
-            raise ValueError(f"unknown invariant {invariant!r}; choose from {INVARIANTS}")
     values: dict[str, list[int]] = {inv: [] for inv in invariants}
     end_triangle = []
     for g in census:
@@ -81,6 +87,7 @@ def extremal_sweep(
     """Evaluate one invariant over the whole census of cacti with n vertices
     and k cycles and report the extremes with their complete argmin/argmax
     sets."""
+    _known((invariant,))
     census = enumerate_cacti(n, k, guard=guard)
     values, _ = _evaluate(census, (invariant,))
     return _report(n, k, invariant, census, values[invariant])
@@ -201,6 +208,7 @@ def verify_theorems(
     maximizer and the pn minimizers strictly contain the Wiener minimizer.
     """
     checks: list[Check] = []
+    invariants = _known(invariants)
     # the checks compare sets of classes, so the census need not be sorted
     census = census_in_generation_order(n, k, guard=guard) if invariants else ()
     values, end_triangle = _evaluate(census, invariants)

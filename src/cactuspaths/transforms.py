@@ -23,17 +23,21 @@ degrees or adjacency.
 
 Each rule is a private move, which reads a profile and returns the edges it
 removes and adds, behind a public wrapper that validates the graph, counts
-its pn and applies the move with _step.  The fixpoint drivers call the
-moves and pass each step's profile and pn explicitly: a driver validates
-its input and counts its pn once, and each _step derives the profile of the
-graph it builds from the one before with graphs.patch_cactus, which
-re-decomposes only the blocks that the step's edges touch and stands a star
-in for each connected run of untouched blocks between them (so shrink and
-balance decompose their two cycles, not the chain between them), and
-counts the new pn once.
+its pn and applies the move with _step.  A fixpoint driver applies the
+first move of its direction, in table order, that does not raise
+TransformError, so each precondition is stated once, in its move.  It
+validates its input and counts its pn once and passes each step's profile
+and pn on explicitly: each _step derives the profile of the graph it builds
+from the one before with graphs.patch_cactus, which re-decomposes only the
+blocks that the step's edges touch and stands a star in for each connected
+run of untouched blocks between them (so shrink and balance decompose their
+two cycles, not the chain between them), and counts the new pn once.
+
 chain_straighten finds its branch node from per-subtree counts of branch
-nodes in one pass over the tree, and lists the components around that node
-alone.
+nodes in one pass over tree.rooted, and one more pass labels each node with
+the neighbour of a node x through which it hangs: chain_straighten groups
+the nodes around its branch node by that label, and shrink_interior_cycle
+sorts the vertices off its cycle into its two sides by it.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ from dataclasses import dataclass
 from .counting import cactus_path_count
 from .graphs import (
     CYCLE,
-    BlockCutTree,
     CactusProfile,
     Graph,
+    RootedBlockCutTree,
     _normalize_edge,
     is_cactus_chain,
     patch_cactus,
@@ -160,31 +164,16 @@ def _bridge_slide(profile: CactusProfile) -> _Move:
     return [(v, x)], [(u, x)]
 
 
-def _components_without(tree: BlockCutTree, x: int) -> list[list[int]]:
-    """The components of the block-cut tree without node x, one per
-    neighbour y of x, each listed breadth-first from y.  Nodes are numbered
-    as in tree.rooted: blocks 0..B-1, then the cut vertices in increasing
-    order."""
-    nblocks = len(tree.blocks)
-    node, cuts = tree.rooted.node, tree.rooted.cuts
-
-    def neighbors(y: int):
-        if y < nblocks:
-            return [node[v] for v in tree.incidence[y]]
-        return tree.blocks_of_cut_vertex[cuts[y - nblocks]]
-
-    seen = {x}
-    comps = []
-    for start in neighbors(x):
-        comp = [start]
-        seen.add(start)
-        for y in comp:  # grows while it is read
-            for z in neighbors(y):
-                if z not in seen:
-                    seen.add(z)
-                    comp.append(z)
-        comps.append(comp)
-    return comps
+def _neighbour_labels(rooted: RootedBlockCutTree, x: int) -> list[int]:
+    """For each node of the tree other than x, the neighbour of x through
+    which it hangs: a child of x below x, else x's parent.  One pass over
+    rooted.order, parents first; the entry at x itself means nothing."""
+    parent = rooted.parent
+    label = [parent[x]] * len(parent)
+    for y in rooted.order[1:]:
+        p = parent[y]
+        label[y] = y if p == x else label[p]
+    return label
 
 
 def chain_straighten(g: Graph) -> TransformResult:
@@ -228,27 +217,31 @@ def _chain_straighten(profile: CactusProfile) -> _Move:
         for x in (*range(nblocks, len(degree)), *range(nblocks))
         if degree[x] >= 3 and branched[x] + (below[x] < below[0]) <= 1
     )
-    comps = _components_without(tree, t)
+    # the components of the tree without t, each keyed by t's neighbour in it
+    comps: dict[int, list[int]] = {}
+    for x, y in enumerate(_neighbour_labels(rooted, t)):
+        if x != t:
+            comps.setdefault(y, []).append(x)
 
-    def comp_key(comp: list[int]) -> tuple[int, tuple[bool, int]]:
+    def comp_key(y: int) -> tuple[int, tuple[bool, int]]:
+        comp = comps[y]
         size = len(set().union(*(blocks[x].vertices for x in comp if x < nblocks)))
         return (size, min(map(order, comp)))
 
-    threads = sorted((c for c in comps if is_thread(c)), key=comp_key)
-    others = [c for c in comps if not is_thread(c)]
-    t1 = threads[0]
+    threads = sorted((y for y, c in comps.items() if is_thread(c)), key=comp_key)
+    others = [y for y, c in comps.items() if not is_thread(c)]
+    t1 = comps[threads[0]]
     if others:
         tk = others[0]
     else:
-        rest = [c for c in comps if c is not t1 and c is not threads[1]]
-        tk = max(rest, key=comp_key)
+        tk = max((y for y in comps if y not in threads[:2]), key=comp_key)
 
-    # tk[0] is the neighbour of t in tk: the block to detach when t is a cut
-    # vertex, else the cut vertex at which tk hangs from the block t
+    # tk is the neighbour of t in its component: the block to detach when t
+    # is a cut vertex, else the cut vertex at which it hangs from the block t
     if t >= nblocks:
-        u, c_idx = cuts[t - nblocks], tk[0]
+        u, c_idx = cuts[t - nblocks], tk
     else:
-        u = cuts[tk[0] - nblocks]
+        u = cuts[tk - nblocks]
         c_idx = min(i for i in tree.blocks_of_cut_vertex[u] if i != t)
     v, w = _ring_neighbors(blocks[c_idx], u)
 
@@ -277,19 +270,19 @@ def _shrink_interior_cycle(profile: CactusProfile) -> _Move:
         raise TransformError("every interior cycle is already a triangle")
     c_idx = targets[0]
     blk = blocks[c_idx]
-    u = min(v for v in blk.vertex_set if v not in profile.intersection_vertices)
+    ring = blk.vertex_set
+    u = min(v for v in ring if v not in profile.intersection_vertices)
     v, w = _ring_neighbors(blk, u)
 
-    sides = [
-        set().union(*(blocks[x].vertices for x in comp if x < len(blocks)))
-        - blk.vertex_set
-        for comp in _components_without(profile.tree, c_idx)
-    ]
+    # a vertex off the ring is on the side of the cut vertex its node hangs by
+    label = _neighbour_labels(profile.tree.rooted, c_idx)
+    sides: dict[int, list[int]] = {}
+    for x, node in enumerate(profile.tree.rooted.node):
+        if x not in ring:
+            sides.setdefault(label[node], []).append(x)
     assert len(sides) == 2, "an interior cycle splits a chain into two sides"
-    side = min(sides, key=lambda c: (len(c), min(c)))
-    end_block = next(
-        blocks[i] for i in profile.end_cycles if blocks[i].vertex_set & side
-    )
+    side = min(sides, key=lambda y: (len(sides[y]), sides[y][0]))
+    end_block = next(blocks[i] for i in profile.end_cycles if label[i] == side)
     a = min(x for x in end_block.vertices if x not in profile.intersection_vertices)
     b = min(_ring_neighbors(end_block, a))
     return [(u, v), (u, w), (a, b)], [(u, a), (u, b), (v, w)]
@@ -383,39 +376,35 @@ _MOVES = {
 }
 
 
-def _fixpoint(g: Graph, cap: int | None, pick) -> tuple[Graph, list[TransformResult]]:
-    """Apply the move pick(profile) names until it names none.  Only g is
-    validated and counted from scratch; each step patches the profile of
-    the graph it builds and counts its pn once."""
+# each direction's rules in table order, the order in which a driver tries them
+_INCREASING = ("bridge-slide", "chain-straighten", "shrink", "balance")
+_DECREASING = ("to-triangle", "split")
+
+
+def _fixpoint(
+    g: Graph, cap: int | None, rules: tuple[str, ...]
+) -> tuple[Graph, list[TransformResult]]:
+    """Apply the first of rules whose move does not raise TransformError
+    until every one raises.  Only g is validated and counted from scratch;
+    each step patches the profile of the graph it builds and counts its pn
+    once."""
     profile = validate_cactus(g)
     pn = cactus_path_count(profile)
     limit = cap if cap is not None else g.n + profile.k + g.m
     history: list[TransformResult] = []
-    while (rule := pick(profile)) is not None:
-        step, profile, pn = _step(rule, profile, pn, _MOVES[rule](profile))
+    while True:
+        for rule in rules:
+            try:
+                move = _MOVES[rule](profile)
+            except TransformError:
+                continue
+            break
+        else:
+            return profile.graph, history
+        step, profile, pn = _step(rule, profile, pn, move)
         history.append(step)
         if len(history) > limit:
             raise FixpointError(f"no fixpoint within {limit} rewrites")
-    return profile.graph, history
-
-
-def _pick_increasing(profile: CactusProfile) -> str | None:
-    if profile.bridges and profile.k >= 1:
-        return "bridge-slide"
-    if profile.k < 2:
-        return None
-    if not is_cactus_chain(profile):
-        return "chain-straighten"
-    if any(len(profile.tree.blocks[i]) >= 4 for i in profile.interior_cycles):
-        return "shrink"
-    e1, e2 = (profile.tree.blocks[i] for i in profile.end_cycles)
-    return "balance" if abs(len(e1) - len(e2)) >= 2 else None
-
-
-def _pick_decreasing(profile: CactusProfile) -> str | None:
-    if any(len(profile.tree.blocks[i]) >= 4 for i in profile.cycle_blocks):
-        return "to-triangle"
-    return "split" if profile.interior_cycles else None
 
 
 def maximize_to_fixpoint(
@@ -424,7 +413,7 @@ def maximize_to_fixpoint(
     """Apply the pn-increasing rewrites until none fires.  For k >= 2 the
     fixpoint is the balanced pseudo triangle chain; for k = 1 it is the
     cycle; trees admit no rewrite at all."""
-    return _fixpoint(g, cap, _pick_increasing)
+    return _fixpoint(g, cap, _INCREASING)
 
 
 def minimize_to_fixpoint(
@@ -432,4 +421,4 @@ def minimize_to_fixpoint(
 ) -> tuple[Graph, list[TransformResult]]:
     """Apply the pn-decreasing rewrites until every cycle is an end
     triangle."""
-    return _fixpoint(g, cap, _pick_decreasing)
+    return _fixpoint(g, cap, _DECREASING)

@@ -195,6 +195,13 @@ def test_verify_cli_pn_only(capsys):
     assert "wiener_min_is_pfg" not in {c["name"] for c in data["checks"]}
 
 
+def test_verify_cli_repeated_invariant_matches_a_single_one(capsys):
+    single = run(capsys, ["verify", "--n", "7", "--k", "2", "--invariant", "pn"])
+    doubled = run(capsys, ["verify", "--n", "7", "--k", "2", "--invariant", "pn", "--invariant", "pn"])
+    assert doubled[:2] == single[:2]
+    assert single[0] == EXIT_OK
+
+
 def test_verify_cli_failure_exit_code(capsys, monkeypatch):
     import cactuspaths.cli as cli
     from cactuspaths.extremal import Check, VerificationReport

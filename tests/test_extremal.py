@@ -1,7 +1,7 @@
 import pytest
 
 from cactuspaths import extremal
-from cactuspaths.census import canonical_key
+from cactuspaths.census import _cactus_census, canonical_key, clear_caches
 from cactuspaths.counting import count_paths
 from cactuspaths.extremal import (
     SWEEP_COLUMNS,
@@ -86,6 +86,19 @@ def test_verify_validates_each_class_once(monkeypatch):
 def test_sweep_rejects_unknown_invariant():
     with pytest.raises(ValueError):
         extremal_sweep(6, 2, "girth")
+
+
+def test_unknown_invariant_is_rejected_before_any_census_is_built():
+    clear_caches()
+    with pytest.raises(ValueError, match="unknown invariant 'bogus'"):
+        extremal_sweep(12, 4, "bogus")
+    with pytest.raises(ValueError, match="unknown invariant 'bogus'"):
+        verify_theorems(12, 4, ("bogus",))
+    assert not _cactus_census  # cleared in place, never rebound
+
+
+def test_verify_counts_a_repeated_invariant_once():
+    assert verify_theorems(7, 2, ("pn", "pn")) == verify_theorems(7, 2, ("pn",))
 
 
 def test_end_triangle_predicate():

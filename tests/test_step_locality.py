@@ -1,6 +1,6 @@
 """A rewrite step re-decomposes only the blocks it changes: on a long chain
 a shrink or balance step decomposes the two cycles it edits and a bounded
-rest, however long the chain between them, and chain_straighten lists the
+rest, however long the chain between them, and chain_straighten labels the
 components around one branch node per step."""
 
 import pytest
@@ -53,15 +53,16 @@ def test_shrink_and_balance_decompose_a_bounded_graph(monkeypatch, rule, m):
 
 def test_components_are_listed_once_per_step(monkeypatch):
     """Both drivers on the pinned cacti: only chain_straighten and shrink
-    list the components of the tree without a node, each once per step."""
+    label the tree's nodes by the neighbour of a node through which they
+    hang, each once per step; a rule that does not apply labels nothing."""
     calls = []
-    original = transforms._components_without
+    original = transforms._neighbour_labels
 
-    def counted(tree, x):
+    def counted(rooted, x):
         calls.append(x)
-        return original(tree, x)
+        return original(rooted, x)
 
-    monkeypatch.setattr(transforms, "_components_without", counted)
+    monkeypatch.setattr(transforms, "_neighbour_labels", counted)
     for g in relabeled_random_cacti(77, 20, 60):
         for driver in (maximize_to_fixpoint, minimize_to_fixpoint):
             calls.clear()

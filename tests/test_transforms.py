@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cactuspaths import transforms
-from cactuspaths.census import canonical_key, random_cactus
+from cactuspaths.census import canonical_key, enumerate_cacti, random_cactus
 from cactuspaths.counting import count_paths
 from cactuspaths.families import (
     cycle_chain,
@@ -370,3 +370,35 @@ def test_drivers_in_threads_match_sequential_runs():
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(lambda run: run[0](run[1]), DRIVER_RUNS))
     assert threaded == sequential
+
+
+# each driver's rules in the order it tries them: the module docstring's table
+DIRECTIONS = [
+    (maximize_to_fixpoint, ("bridge-slide", "chain-straighten", "shrink", "balance")),
+    (minimize_to_fixpoint, ("to-triangle", "split")),
+]
+
+
+def raises_transform_error(rule, g):
+    try:
+        RULES[rule](g)
+    except TransformError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("driver, rules", DIRECTIONS)
+def test_drivers_apply_the_first_rule_that_fires(driver, rules):
+    """Every step's rule is the first of its direction whose precondition
+    holds on step.before, and at the graph a driver returns every rule of
+    its direction raises."""
+    census = (g for n in range(1, 9) for k in range((n - 1) // 2 + 1) for g in enumerate_cacti(n, k))
+    fired = set()
+    for g in (*census, *relabeled_random_cacti(77, 20, 60)):
+        final, history = driver(g)
+        for step in history:
+            earlier = rules[: rules.index(step.rule)]
+            assert all(raises_transform_error(rule, step.before) for rule in earlier)
+            fired.add(step.rule)
+        assert all(raises_transform_error(rule, final) for rule in rules)
+    assert fired == set(rules)
