@@ -11,9 +11,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cactuspaths.census import census_in_generation_order
-from cactuspaths.counting import cactus_path_count
-from cactuspaths.graphs import validate_cactus
+from cactuspaths.census import census_with_rings, centred_rings
+from cactuspaths.counting import ring_path_count
 
 
 def main() -> int:
@@ -24,9 +23,9 @@ def main() -> int:
     print(f"{'n':>3} {'k':>3} {'classes':>8} {'pn min':>8} {'pn max':>8}")
     for n in range(1, args.n_max + 1):
         for k in range((n - 1) // 2 + 1):
-            census = census_in_generation_order(n, k)
-            values = [cactus_path_count(validate_cactus(g)) for g in census]
-            print(f"{n:>3} {k:>3} {len(census):>8} {min(values):>8} {max(values):>8}")
+            _, rings = census_with_rings(n, k)
+            values = [ring_path_count(n, centred_rings(n, r)) for r in rings]
+            print(f"{n:>3} {k:>3} {len(values):>8} {min(values):>8} {max(values):>8}")
     return 0
 
 

@@ -3,6 +3,9 @@
 one line per check.
 
     python scripts/verify_extremal.py --pairs 6:2,7:2,8:2,8:3,9:3
+
+Exits 0 when every check passes, 1 when one fails, and 2 on a malformed or
+infeasible pair.
 """
 
 import argparse
@@ -15,10 +18,17 @@ from cactuspaths.extremal import verify_theorems
 
 
 def parse_pairs(text: str) -> list[tuple[int, int]]:
+    """The n:k pairs of text; a malformed pair, or one with no cactus (n < 1,
+    k < 0 or 2k + 1 > n), is an argparse error, before any census is built."""
     pairs = []
     for chunk in text.split(","):
-        n, k = chunk.split(":")
-        pairs.append((int(n), int(k)))
+        try:
+            n, k = map(int, chunk.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"malformed pair {chunk!r}; expected n:k") from None
+        if n < 1 or k < 0 or 2 * k + 1 > n:
+            raise argparse.ArgumentTypeError(f"no cacti with n={n} and k={k}")
+        pairs.append((n, k))
     return pairs
 
 

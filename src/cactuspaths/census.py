@@ -23,6 +23,12 @@ checks) whose results depend only on the set of classes, and
 enumerate_cacti sorts the census it is asked for by canonical_key, which
 costs one key per class of that census only.  canonical_key stays the
 oracle for the code.
+
+Beside each class the cache keeps its blocks as rings (census_with_rings),
+so no census class needs a block-cut tree: centred_rings re-peels one
+class's rings and hangs them from the centre, in the order the ring passes
+(counting.ring_path_count, indices.ring_wiener, indices.ring_subtree_count)
+read them, which is how the sweeps and the theorem checks evaluate a class.
 """
 
 from __future__ import annotations
@@ -233,6 +239,14 @@ def census_in_generation_order(n: int, k: int, guard: int | None = None) -> tupl
     in the order they are generated and with no canonical_key computed; the
     order does not depend on what was called before.  The guard binds as in
     enumerate_cacti."""
+    return census_with_rings(n, k, guard)[0]
+
+
+def census_with_rings(n: int, k: int, guard: int | None = None) -> Census:
+    """census_in_generation_order(n, k, guard), and beside it each class's
+    blocks as the census holds them: a bridge as its two ends, a cycle in
+    cyclic order.  centred_rings hangs one class's rings for the ring
+    passes."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if k < 0 or 2 * k + 1 > n:
@@ -248,7 +262,7 @@ def census_in_generation_order(n: int, k: int, guard: int | None = None) -> tupl
                 _cactus_census[key] = _grow(size, rank, limit)
             if len(_cactus_census[key][0]) > limit:
                 raise _over_guard(size, rank, limit)
-    return _cactus_census[(n, k)][0]
+    return _cactus_census[(n, k)]
 
 
 def _over_guard(n: int, k: int, limit: int) -> CensusSizeError:
@@ -406,6 +420,25 @@ def _peel(n: int, rings: Rings) -> _Peel:
     cb = layer[0]
     code = _root([vcode[v] for v in rings[cb]])
     return _Peel(code, vcode, kids, home, bcode, top, depth, -1, cb, max(depth))
+
+
+def centred_rings(n: int, rings: Rings) -> list[tuple[int, ...]]:
+    """The blocks of the cactus on vertices 0..n-1 whose blocks are rings,
+    hung from the centre that _peel finds: each ring rotated to start at its
+    top vertex (a centre block's ring as it is), the deepest blocks first,
+    so that every block comes after the blocks below it.  Every vertex but
+    the last ring's top is a non-top vertex of exactly one ring.  It is the
+    sequence indices._rings yields for a profile, rooted at the centre
+    instead of block 0, and the ring passes (counting.ring_path_count,
+    indices.ring_wiener, indices.ring_subtree_count) read it."""
+    state = _peel(n, rings)
+    top, depth = state.top, state.depth
+    hung = []
+    for b in sorted(range(len(rings)), key=depth.__getitem__, reverse=True):
+        ring = rings[b]
+        i = ring.index(top[b]) if top[b] >= 0 else 0
+        hung.append(ring[i:] + ring[:i])
+    return hung
 
 
 def _attach(state: _Peel, rings: Rings, v: int, length: int) -> str:

@@ -5,12 +5,15 @@ the n trivial single-vertex paths and counting every nontrivial path once
 per unordered endpoint pair.  count_paths / count_paths_between enumerate
 paths directly and serve as the oracle for everything else; the cactus
 counters use the 2^c pair rule on the rooted block-cut tree instead, and
-cactus_path_count needs O(n) integer operations.
+cactus_path_count needs O(n) integer operations.  ring_path_count applies
+the same rule to a cactus given as its hung rings, as the census holds it.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Iterable, Sequence
+
 from .graphs import CactusProfile, Graph, connected_components
 
 DEFAULT_BUDGET = 10**9
@@ -163,4 +166,30 @@ def cactus_path_count(profile: CactusProfile) -> int:
             pairs[p] += below[p] * a
             below[p] += a
         below[x] = pairs[x] = 0  # x is done: free its big integers
+    return total
+
+
+def ring_path_count(n: int, rings: Iterable[Sequence[int]]) -> int:
+    """Subpath number of the cactus on vertices 0..n-1 whose blocks are
+    rings, each starting at its top vertex and listed after every block
+    below it (census.centred_rings); equal to cactus_path_count.
+
+    S[v] sums, over the vertices x hanging at or below v, the number of
+    x-v paths.  A ring with top t and below-values a_i = S[u_i] joins the
+    pairs whose routes meet at it: w * (sum over i < j of a_i * a_j, plus
+    S[t] times the sum of the a_i), with w = 2 for a cycle and 1 for a
+    bridge.  Then S[t] gains w times the sum of the a_i.
+    """
+    S = [1] * n
+    total = n
+    for t, *below in rings:
+        run = pairs = 0
+        for u in below:
+            a = S[u]
+            pairs += run * a
+            run += a
+            S[u] = 0  # u is done: free its big integer
+        w = 2 if len(below) > 1 else 1
+        total += w * (pairs + S[t] * run)
+        S[t] += w * run
     return total

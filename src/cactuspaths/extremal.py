@@ -5,8 +5,9 @@ index, and the subtree number in each class."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .census import canonical_key, census_in_generation_order, enumerate_cacti
+from .census import Rings, canonical_key, census_with_rings, centred_rings, enumerate_cacti
 from .families import (
     balanced_saw,
     cycle_graph,
@@ -15,7 +16,7 @@ from .families import (
 )
 from .formulas import min_cactus_path_count, ptc_summation, tree_path_count
 from .graphs import CactusProfile, Graph, validate_cactus
-from .indices import cactus_counters
+from .indices import cactus_counters, ring_counters
 
 INVARIANTS = tuple(cactus_counters())
 
@@ -30,19 +31,26 @@ def _known(invariants: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _evaluate(
-    census: tuple[Graph, ...], invariants: tuple[str, ...]
+    classes: Iterable[tuple[Graph, Rings]], invariants: tuple[str, ...]
 ) -> tuple[dict[str, list[int]], list[bool]]:
-    """Every invariant of every census graph, names as _known returns them,
-    and whether it is an end-triangle cactus, validating each graph once.
-    Only the numbers are kept: a large census's profiles would cost memory."""
-    counters = cactus_counters()
+    """Every invariant of every census class, names as _known returns them,
+    and whether it is an end-triangle cactus.  Each class comes as its graph
+    and its rings (census_with_rings), and is read from its rings hung from
+    its centre (centred_rings) by the ring passes, with no block-cut tree
+    built.  The rings are first checked against the graph in O(m): their
+    edges must number m and their cycles m - n + 1, else AssertionError.
+    Only the numbers are kept, not the hung rings."""
+    counters = ring_counters()
     values: dict[str, list[int]] = {inv: [] for inv in invariants}
     end_triangle = []
-    for g in census:
-        profile = validate_cactus(g)
+    for g, rings in classes:
+        cycles = sum(len(ring) > 2 for ring in rings)
+        if sum(map(len, rings)) - len(rings) + cycles != g.m or cycles != g.m - g.n + 1:
+            raise AssertionError(f"census rings do not match the graph with edges {g.sorted_edges}")
+        hung = centred_rings(g.n, rings)
         for inv in invariants:
-            values[inv].append(counters[inv](profile))
-        end_triangle.append(is_end_triangle_cactus(profile))
+            values[inv].append(counters[inv](g.n, hung))
+        end_triangle.append(_end_triangle(g.n, hung))
     return values, end_triangle
 
 
@@ -89,7 +97,8 @@ def extremal_sweep(
     sets."""
     _known((invariant,))
     census = enumerate_cacti(n, k, guard=guard)
-    values, _ = _evaluate(census, (invariant,))
+    rings = dict(zip(*census_with_rings(n, k, guard=guard)))  # keyed by the same graphs
+    values, _ = _evaluate(((g, rings[g]) for g in census), (invariant,))
     return _report(n, k, invariant, census, values[invariant])
 
 
@@ -129,9 +138,21 @@ SWEEP_COLUMNS = ("canonical_key", "value", "is_argmin", "is_argmax", "representa
 
 def is_end_triangle_cactus(profile: CactusProfile) -> bool:
     """Every cycle is a triangle with at most one vertex of degree > 2."""
-    if profile.interior_cycles:
-        return False
-    return all(len(profile.tree.blocks[i]) == 3 for i in profile.cycle_blocks)
+    return _end_triangle(profile.graph.n, [b.vertices for b in profile.tree.blocks])
+
+
+def _end_triangle(n: int, rings: Sequence[Sequence[int]]) -> bool:
+    """is_end_triangle_cactus of the cactus on vertices 0..n-1 whose blocks
+    are rings: every cycle ring is a triangle with at most one vertex that
+    lies on two or more rings, which on a cactus are the vertices of degree
+    > 2 on a cycle."""
+    on = [0] * n  # the rings each vertex lies on
+    for ring in rings:
+        for v in ring:
+            on[v] += 1
+    return all(
+        len(ring) == 3 and sum(on[v] > 1 for v in ring) <= 1 for ring in rings if len(ring) > 2
+    )
 
 
 @dataclass(frozen=True)
@@ -210,8 +231,8 @@ def verify_theorems(
     checks: list[Check] = []
     invariants = _known(invariants)
     # the checks compare sets of classes, so the census need not be sorted
-    census = census_in_generation_order(n, k, guard=guard) if invariants else ()
-    values, end_triangle = _evaluate(census, invariants)
+    census, rings = census_with_rings(n, k, guard=guard) if invariants else ((), ())
+    values, end_triangle = _evaluate(zip(census, rings), invariants)
     reports = {inv: _report(n, k, inv, census, values[inv]) for inv in invariants}
     bsg_defined = k >= 2 and n >= 2 * k + 2
     pn = reports.get("pn")

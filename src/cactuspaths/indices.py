@@ -1,17 +1,25 @@
 """Wiener index and subtree number, for the cross-comparison sweeps.
 
 wiener and subtree_count work on any graph by brute force and serve as the
-oracles.  On a cactus, cactus_wiener and cactus_subtree_count compute the
-same values in one bottom-up pass over the rooted block-cut tree, with O(n)
-integer operations: the sweeps and the triple of a cactus use them.
+oracles.  On a cactus, ring_wiener and ring_subtree_count compute the same
+values in one bottom-up pass over its blocks as rings, hung from a root,
+with O(n) integer operations.  cactus_wiener and cactus_subtree_count feed
+them a profile's rings, rooted at block 0, for the triple of a cactus; the
+sweeps feed them each census class's rings, hung from its centre.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
-from .counting import BudgetExceededError, cactus_path_count, count_paths, work_budget
+from .counting import (
+    BudgetExceededError,
+    cactus_path_count,
+    count_paths,
+    ring_path_count,
+    work_budget,
+)
 from .graphs import (
     CactusProfile,
     DisconnectedError,
@@ -112,7 +120,15 @@ def _rings(profile: CactusProfile):
 
 
 def cactus_subtree_count(profile: CactusProfile) -> int:
-    """Subtree number of a cactus, equal to subtree_count.
+    """Subtree number of a cactus, equal to subtree_count: ring_subtree_count
+    over the profile's rings (_rings)."""
+    return ring_subtree_count(profile.graph.n, _rings(profile))
+
+
+def ring_subtree_count(n: int, rings: Iterable[Sequence[int]]) -> int:
+    """Subtree number of the cactus on vertices 0..n-1 whose blocks are
+    rings, each starting at its top vertex and listed after every block
+    below it, as _rings and census.centred_rings list them.
 
     F[v] counts the subtrees whose top vertex is v: a product over the
     blocks below v.  A bridge to u gives 1 + F[u].  A cycle whose ring
@@ -121,13 +137,12 @@ def cactus_subtree_count(profile: CactusProfile) -> int:
     products of F along the two directions.  The subtrees with no single
     top vertex are a ring's arcs of two or more vertices that avoid its top.
     """
-    n = profile.graph.n
     if n == 0:
         return 0
     F = [1] * n
     total = 0
-    top = 0  # after the loop: the root block's top, or the lone vertex
-    for top, *below in _rings(profile):
+    top = 0  # after the loop: the last ring's top, or the lone vertex
+    for top, *below in rings:
         if len(below) == 1:
             factor = 1 + F[below[0]]
         else:
@@ -171,17 +186,23 @@ def _ring_distances(w: list[int]) -> int:
 
 
 def cactus_wiener(profile: CactusProfile) -> int:
-    """Wiener index of a cactus, equal to wiener.
+    """Wiener index of a cactus, equal to wiener: ring_wiener over the
+    profile's rings (_rings)."""
+    return ring_wiener(profile.graph.n, _rings(profile))
+
+
+def ring_wiener(n: int, rings: Iterable[Sequence[int]]) -> int:
+    """Wiener index of the cactus on vertices 0..n-1 whose blocks are rings,
+    listed as ring_subtree_count takes them.
 
     A shortest path crosses each block between the ring positions at which
     its ends hang, so each block adds sum over i < j of w_i * w_j * d(i, j),
     where w_i counts the vertices hanging at ring position i and d is the
     distance along the ring (1 for a bridge).
     """
-    n = profile.graph.n
     hang = [1] * n  # hang[v]: v and everything below it
     total = 0
-    for top, *below in _rings(profile):
+    for top, *below in rings:
         w = [hang[u] for u in below]
         size = sum(w)
         total += _ring_distances([n - size] + w)
@@ -191,10 +212,17 @@ def cactus_wiener(profile: CactusProfile) -> int:
 
 def cactus_counters() -> dict[str, Callable[[CactusProfile], int]]:
     """The linear counter of each invariant on a cactus profile, by the name
-    that the sweeps, the CLI and InvariantTriple's fields use.  Built on
-    each call from this module's names, so that a wrapper put over one of
-    them, as perfbench/tracer.py does, sees the calls."""
+    that the CLI, the sweeps' invariant lists and InvariantTriple's fields
+    use.  The sweeps evaluate census classes with ring_counters instead.
+    Built on each call from this module's names, so that a wrapper put over
+    one of them, as perfbench/tracer.py does, sees the calls."""
     return {"pn": cactus_path_count, "wiener": cactus_wiener, "subtrees": cactus_subtree_count}
+
+
+def ring_counters() -> dict[str, Callable[[int, Iterable[Sequence[int]]], int]]:
+    """The ring pass of each invariant, by cactus_counters' names: each takes
+    n and a cactus's hung rings (census.centred_rings)."""
+    return {"pn": ring_path_count, "wiener": ring_wiener, "subtrees": ring_subtree_count}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
 import pytest
 
 from cactuspaths import extremal
-from cactuspaths.census import _cactus_census, canonical_key, clear_caches
+from cactuspaths.census import (
+    _cactus_census,
+    _code,
+    cactus_key,
+    canonical_key,
+    clear_caches,
+)
 from cactuspaths.counting import count_paths
 from cactuspaths.extremal import (
     SWEEP_COLUMNS,
@@ -68,19 +74,30 @@ def test_sweep_rows_reads_values_from_the_report(monkeypatch):
 
 
 def test_verify_validates_each_class_once(monkeypatch):
-    calls = []
-    original = extremal.validate_cactus
+    # each class is checked and evaluated from its rings hung from its
+    # centre, once per run, and no class gets a block-cut tree
+    hung, validated = [], []
+    original = extremal.centred_rings
 
-    def counted(g):
-        calls.append(g)
-        return original(g)
+    def counted(n, rings):
+        hung.append(_code(n, rings))
+        return original(n, rings)
 
-    monkeypatch.setattr(extremal, "validate_cactus", counted)
+    monkeypatch.setattr(extremal, "centred_rings", counted)
+    monkeypatch.setattr(extremal, "validate_cactus", validated.append)
     report = verify_theorems(9, 2)
     assert report.all_passed
     census = extremal_sweep(9, 2, "pn").census
-    assert len(calls) == 2 * len(census)  # once in verify, once in the sweep
-    assert sorted(map(canonical_key, calls)) == sorted(2 * list(map(canonical_key, census)))
+    assert len(hung) == 2 * len(census)  # once in verify, once in the sweep
+    assert sorted(hung) == sorted(2 * list(map(cactus_key, census)))
+    assert not validated
+
+
+def test_evaluate_refuses_rings_that_do_not_match_the_graph():
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for rings in (((0, 1), (1, 2)), ((0, 1, 2),)):  # an edge short; three edges, one a cycle
+        with pytest.raises(AssertionError, match="census rings do not match"):
+            extremal._evaluate([(path, rings)], ("pn",))
 
 
 def test_sweep_rejects_unknown_invariant():

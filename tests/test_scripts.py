@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end at small arguments: each exits 0
-and prints a line that its own checks or the census fix."""
+and prints a line that its own checks or the census fix.  A bad argument
+exits 2, as argparse does, before any work."""
 
 import subprocess
 import sys
@@ -35,3 +36,18 @@ def test_script_runs(argv, expected):
     )
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith(expected) for line in proc.stdout.splitlines()), proc.stdout
+
+
+@pytest.mark.parametrize("pairs", ["3:5", "7:2,3-5", "0:0", "7:-1"])
+def test_verify_extremal_rejects_a_bad_pair_before_any_check(pairs):
+    # exit 1 means a failed check, so a pair with no census must not reach one
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "verify_extremal.py"), "--pairs", pairs],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: argument --pairs" in proc.stderr
+    assert "Traceback" not in proc.stderr
