@@ -3,6 +3,8 @@
 subpath-number range over each class.
 
     python scripts/census_table.py --n-max 9
+
+Exits 2 when --n-max is below 1.
 """
 
 import argparse
@@ -11,20 +13,28 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cactuspaths.census import census_with_rings, centred_rings
+from cactuspaths.census import census_with_rings
 from cactuspaths.counting import ring_path_count
+
+
+def positive(text: str) -> int:
+    """text as an integer of at least 1, else an argparse error."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least one vertex, got {n}")
+    return n
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=9)
+    parser.add_argument("--n-max", type=positive, default=9)
     args = parser.parse_args()
 
     print(f"{'n':>3} {'k':>3} {'classes':>8} {'pn min':>8} {'pn max':>8}")
     for n in range(1, args.n_max + 1):
         for k in range((n - 1) // 2 + 1):
             _, rings = census_with_rings(n, k)
-            values = [ring_path_count(n, centred_rings(n, r)) for r in rings]
+            values = [ring_path_count(n, r) for r in rings]
             print(f"{n:>3} {k:>3} {len(values):>8} {min(values):>8} {max(values):>8}")
     return 0
 

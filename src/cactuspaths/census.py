@@ -24,11 +24,10 @@ enumerate_cacti sorts the census it is asked for by canonical_key, which
 costs one key per class of that census only.  canonical_key stays the
 oracle for the code.
 
-Beside each class the cache keeps its blocks as rings (census_with_rings),
-so no census class needs a block-cut tree: centred_rings re-peels one
-class's rings and hangs them from the centre, in the order the ring passes
-(counting.ring_path_count, indices.ring_wiener, indices.ring_subtree_count)
-read them, which is how the sweeps and the theorem checks evaluate a class.
+Beside each class the cache keeps its blocks as hung rings
+(census_with_rings), so no census class needs a block-cut tree: the sweeps
+and the theorem checks hand them as they are to the ring passes
+(counting.ring_path_count, indices.ring_wiener, indices.ring_subtree_count).
 """
 
 from __future__ import annotations
@@ -42,6 +41,10 @@ from .graphs import Graph, is_connected, validate_cactus
 DEFAULT_CENSUS_GUARD = 10**7
 
 # A cactus's blocks: each bridge as its two ends, each cycle in cyclic order.
+# The census stores them hung from vertex 0: each ring starts at its top
+# vertex, the one towards vertex 0, and comes after every ring below it, so
+# every vertex but 0 is a non-top vertex of exactly one ring.  It is the
+# order the ring passes read, and _peel, _code and _attach ignore it.
 Rings = tuple[tuple[int, ...], ...]
 
 
@@ -244,9 +247,7 @@ def census_in_generation_order(n: int, k: int, guard: int | None = None) -> tupl
 
 def census_with_rings(n: int, k: int, guard: int | None = None) -> Census:
     """census_in_generation_order(n, k, guard), and beside it each class's
-    blocks as the census holds them: a bridge as its two ends, a cycle in
-    cyclic order.  centred_rings hangs one class's rings for the ring
-    passes."""
+    blocks as hung Rings, ready for the ring passes."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if k < 0 or 2 * k + 1 > n:
@@ -275,7 +276,8 @@ def _grow(n: int, k: int, limit: int) -> Census:
     cycle attached at one vertex.  Each parent is peeled once, and each of
     its candidates coded from that peel (_attach).  The first candidate with
     a new code represents its class, and the classes keep the order they are
-    found in."""
+    found in.  The new block is a leaf whose top is its attachment vertex,
+    so putting it first keeps the rings hung."""
     if n == 1:
         return (Graph(1, frozenset()),), ((),)
     seen: dict[str, tuple[frozenset[tuple[int, int]], Rings]] = {}  # code -> first candidate
@@ -290,7 +292,7 @@ def _grow(n: int, k: int, limit: int) -> Census:
                 if code not in seen:
                     # for a pendant vertex, h.n == n - 1: one edge, twice
                     new = [(v, h.n), (v, n - 1)] + [(u, u + 1) for u in range(h.n, n - 1)]
-                    seen[code] = (h.edges.union(new), rings + ((v, *range(h.n, n)),))
+                    seen[code] = (h.edges.union(new), ((v, *range(h.n, n)),) + rings)
                     if len(seen) > limit:
                         raise _over_guard(n, k, limit)
     graphs = tuple(Graph(n, edges) for edges, _ in seen.values())
@@ -420,25 +422,6 @@ def _peel(n: int, rings: Rings) -> _Peel:
     cb = layer[0]
     code = _root([vcode[v] for v in rings[cb]])
     return _Peel(code, vcode, kids, home, bcode, top, depth, -1, cb, max(depth))
-
-
-def centred_rings(n: int, rings: Rings) -> list[tuple[int, ...]]:
-    """The blocks of the cactus on vertices 0..n-1 whose blocks are rings,
-    hung from the centre that _peel finds: each ring rotated to start at its
-    top vertex (a centre block's ring as it is), the deepest blocks first,
-    so that every block comes after the blocks below it.  Every vertex but
-    the last ring's top is a non-top vertex of exactly one ring.  It is the
-    sequence indices._rings yields for a profile, rooted at the centre
-    instead of block 0, and the ring passes (counting.ring_path_count,
-    indices.ring_wiener, indices.ring_subtree_count) read it."""
-    state = _peel(n, rings)
-    top, depth = state.top, state.depth
-    hung = []
-    for b in sorted(range(len(rings)), key=depth.__getitem__, reverse=True):
-        ring = rings[b]
-        i = ring.index(top[b]) if top[b] >= 0 else 0
-        hung.append(ring[i:] + ring[:i])
-    return hung
 
 
 def _attach(state: _Peel, rings: Rings, v: int, length: int) -> str:

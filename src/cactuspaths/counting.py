@@ -172,7 +172,7 @@ def cactus_path_count(profile: CactusProfile) -> int:
 def ring_path_count(n: int, rings: Iterable[Sequence[int]]) -> int:
     """Subpath number of the cactus on vertices 0..n-1 whose blocks are
     rings, each starting at its top vertex and listed after every block
-    below it (census.centred_rings); equal to cactus_path_count.
+    below it (census.Rings); equal to cactus_path_count.
 
     S[v] sums, over the vertices x hanging at or below v, the number of
     x-v paths.  A ring with top t and below-values a_i = S[u_i] joins the

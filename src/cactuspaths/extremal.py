@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .census import Rings, canonical_key, census_with_rings, centred_rings, enumerate_cacti
+from .census import Rings, canonical_key, census_with_rings, enumerate_cacti
 from .families import (
     balanced_saw,
     cycle_graph,
@@ -35,11 +35,10 @@ def _evaluate(
 ) -> tuple[dict[str, list[int]], list[bool]]:
     """Every invariant of every census class, names as _known returns them,
     and whether it is an end-triangle cactus.  Each class comes as its graph
-    and its rings (census_with_rings), and is read from its rings hung from
-    its centre (centred_rings) by the ring passes, with no block-cut tree
-    built.  The rings are first checked against the graph in O(m): their
-    edges must number m and their cycles m - n + 1, else AssertionError.
-    Only the numbers are kept, not the hung rings."""
+    and its hung rings (census_with_rings), which the ring passes read as
+    they are, with no block-cut tree built.  The rings are first checked
+    against the graph in O(m): their edges must number m and their cycles
+    m - n + 1, else AssertionError."""
     counters = ring_counters()
     values: dict[str, list[int]] = {inv: [] for inv in invariants}
     end_triangle = []
@@ -47,10 +46,9 @@ def _evaluate(
         cycles = sum(len(ring) > 2 for ring in rings)
         if sum(map(len, rings)) - len(rings) + cycles != g.m or cycles != g.m - g.n + 1:
             raise AssertionError(f"census rings do not match the graph with edges {g.sorted_edges}")
-        hung = centred_rings(g.n, rings)
         for inv in invariants:
-            values[inv].append(counters[inv](g.n, hung))
-        end_triangle.append(_end_triangle(g.n, hung))
+            values[inv].append(counters[inv](g.n, rings))
+        end_triangle.append(_end_triangle(g.n, rings))
     return values, end_triangle
 
 

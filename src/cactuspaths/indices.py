@@ -5,7 +5,7 @@ oracles.  On a cactus, ring_wiener and ring_subtree_count compute the same
 values in one bottom-up pass over its blocks as rings, hung from a root,
 with O(n) integer operations.  cactus_wiener and cactus_subtree_count feed
 them a profile's rings, rooted at block 0, for the triple of a cactus; the
-sweeps feed them each census class's rings, hung from its centre.
+sweeps feed them each census class's rings as the census stores them.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def cactus_subtree_count(profile: CactusProfile) -> int:
 def ring_subtree_count(n: int, rings: Iterable[Sequence[int]]) -> int:
     """Subtree number of the cactus on vertices 0..n-1 whose blocks are
     rings, each starting at its top vertex and listed after every block
-    below it, as _rings and census.centred_rings list them.
+    below it, as _rings lists them and the census stores them (census.Rings).
 
     F[v] counts the subtrees whose top vertex is v: a product over the
     blocks below v.  A bridge to u gives 1 + F[u].  A cycle whose ring
@@ -221,7 +221,7 @@ def cactus_counters() -> dict[str, Callable[[CactusProfile], int]]:
 
 def ring_counters() -> dict[str, Callable[[int, Iterable[Sequence[int]]], int]]:
     """The ring pass of each invariant, by cactus_counters' names: each takes
-    n and a cactus's hung rings (census.centred_rings)."""
+    n and a cactus's hung rings (census.Rings)."""
     return {"pn": ring_path_count, "wiener": ring_wiener, "subtrees": ring_subtree_count}
 
 

@@ -1,5 +1,8 @@
+from functools import partial
+
 import pytest
 
+from cactuspaths import census as census_module
 from cactuspaths import extremal
 from cactuspaths.census import (
     _cactus_census,
@@ -10,6 +13,7 @@ from cactuspaths.census import (
 )
 from cactuspaths.counting import count_paths
 from cactuspaths.extremal import (
+    INVARIANTS,
     SWEEP_COLUMNS,
     extremal_sweep,
     is_end_triangle_cactus,
@@ -74,22 +78,34 @@ def test_sweep_rows_reads_values_from_the_report(monkeypatch):
 
 
 def test_verify_validates_each_class_once(monkeypatch):
-    # each class is checked and evaluated from its rings hung from its
-    # centre, once per run, and no class gets a block-cut tree
-    hung, validated = [], []
-    original = extremal.centred_rings
+    # each class is checked and evaluated from its stored rings, once per
+    # run and invariant, and no class gets a block-cut tree or a peel
+    calls, validated, peeled = [], [], []
+    counters, peel = extremal.ring_counters, census_module._peel
 
-    def counted(n, rings):
-        hung.append(_code(n, rings))
-        return original(n, rings)
+    def count(inv, counter, n, rings):
+        calls.append((inv, n, rings))
+        return counter(n, rings)
 
-    monkeypatch.setattr(extremal, "centred_rings", counted)
+    def counted():
+        return {inv: partial(count, inv, counter) for inv, counter in counters().items()}
+
+    def counted_peel(n, rings):
+        peeled.append(rings)
+        return peel(n, rings)
+
+    census_module.census_with_rings(9, 2)  # warm: growing a census peels its parents
+    monkeypatch.setattr(extremal, "ring_counters", counted)
     monkeypatch.setattr(extremal, "validate_cactus", validated.append)
+    monkeypatch.setattr(census_module, "_peel", counted_peel)
     report = verify_theorems(9, 2)
     assert report.all_passed
     census = extremal_sweep(9, 2, "pn").census
-    assert len(hung) == 2 * len(census)  # once in verify, once in the sweep
-    assert sorted(hung) == sorted(2 * list(map(cactus_key, census)))
+    assert not peeled
+    codes = {inv: sorted(_code(n, r) for i, n, r in calls if i == inv) for inv in INVARIANTS}
+    keys = sorted(map(cactus_key, census))
+    assert codes["pn"] == sorted(2 * keys)  # once in verify, once in the sweep
+    assert codes["wiener"] == codes["subtrees"] == keys  # in verify only
     assert not validated
 
 

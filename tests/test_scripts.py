@@ -51,3 +51,18 @@ def test_verify_extremal_rejects_a_bad_pair_before_any_check(pairs):
     assert proc.stdout == ""
     assert "error: argument --pairs" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_census_table_rejects_a_census_size_below_one(n_max):
+    # printing the header alone and exiting 0 would pass for an empty table
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "census_table.py"), "--n-max", n_max],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: argument --n-max" in proc.stderr
+    assert "Traceback" not in proc.stderr
