@@ -3,6 +3,9 @@
 forms, over a parameter grid.
 
     python scripts/reconcile_ptc.py --n-max 14 --k-max 5
+
+Exits 1 if the count and the summation form disagree anywhere, and 2 when
+the grid holds no PTC(n, k), which needs k >= 2 and n >= 2k + 1.
 """
 
 import argparse
@@ -22,6 +25,9 @@ def main() -> int:
     parser.add_argument("--k-min", type=int, default=2)
     parser.add_argument("--k-max", type=int, default=5)
     args = parser.parse_args()
+    k_low = max(args.k_min, 2)
+    if k_low > args.k_max or args.n_max < max(args.n_min, 2 * k_low + 1):
+        parser.error("the grid holds no PTC(n, k): it needs k >= 2 and n >= 2k + 1")
 
     rows = reconciliation_rows(
         range(args.n_min, args.n_max + 1), range(args.k_min, args.k_max + 1)

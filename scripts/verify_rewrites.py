@@ -6,7 +6,7 @@ Each line checks the paper's two characterizations far beyond the census:
 maximizing ends at a cactus chain with pn equal to ptc_summation(n, k), and
 minimizing ends at an end-triangle cactus with pn equal to
 min_cactus_path_count(n, k).  k is drawn from 2..(n - 1) // 2.  The exit
-code is 1 if any check fails.
+code is 1 if any check fails, and 2 on --n below 5 or --count below 1.
 
     python scripts/verify_rewrites.py --n 1000 --count 50 --seed 1
 """
@@ -36,10 +36,18 @@ def run(driver, g):
     return profile, cactus_path_count(profile), len(history), seconds
 
 
+def positive(text: str) -> int:
+    """text as an integer of at least 1, else an argparse error."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least one cactus, got {count}")
+    return count
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=1000, help="vertices per cactus (at least 5)")
-    parser.add_argument("--count", type=int, default=50, help="number of cacti")
+    parser.add_argument("--count", type=positive, default=50, help="number of cacti")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     if args.n < 5:

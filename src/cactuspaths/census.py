@@ -24,10 +24,11 @@ enumerate_cacti sorts the census it is asked for by canonical_key, which
 costs one key per class of that census only.  canonical_key stays the
 oracle for the code.
 
-Beside each class the cache keeps its blocks as hung rings
-(census_with_rings), so no census class needs a block-cut tree: the sweeps
+Beside each class the cache keeps its blocks as hung rings (graphs.Rings,
+census_with_rings), so no census class needs a block-cut tree: the sweeps
 and the theorem checks hand them as they are to the ring passes
 (counting.ring_path_count, indices.ring_wiener, indices.ring_subtree_count).
+_peel, _code and _attach ignore the rings' order.
 """
 
 from __future__ import annotations
@@ -36,16 +37,9 @@ import random
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graphs import Graph, is_connected, validate_cactus
+from .graphs import Graph, Rings, is_connected, validate_cactus
 
 DEFAULT_CENSUS_GUARD = 10**7
-
-# A cactus's blocks: each bridge as its two ends, each cycle in cyclic order.
-# The census stores them hung from vertex 0: each ring starts at its top
-# vertex, the one towards vertex 0, and comes after every ring below it, so
-# every vertex but 0 is a non-top vertex of exactly one ring.  It is the
-# order the ring passes read, and _peel, _code and _attach ignore it.
-Rings = tuple[tuple[int, ...], ...]
 
 
 class CensusSizeError(Exception):

@@ -3,10 +3,13 @@
 The subpath number of a graph is the number of its simple paths, counting
 the n trivial single-vertex paths and counting every nontrivial path once
 per unordered endpoint pair.  count_paths / count_paths_between enumerate
-paths directly and serve as the oracle for everything else; the cactus
-counters use the 2^c pair rule on the rooted block-cut tree instead, and
-cactus_path_count needs O(n) integer operations.  ring_path_count applies
-the same rule to a cactus given as its hung rings, as the census holds it.
+paths directly and serve as the oracle for everything else.  On a cactus
+the x-y paths number 2^c, with c the cycles on the block-cut-tree route
+between x and y: cycles_on_route and cactus_count_between read c off the
+rooted tree, and ring_path_count sums the rule over all pairs in one pass
+over the cactus's hung rings, with O(n) integer operations.
+cactus_path_count runs it on a profile's rings, the census's sweeps on each
+class's stored rings.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from .graphs import CactusProfile, Graph, connected_components
+from .graphs import CYCLE, CactusProfile, Graph, connected_components
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "CACTUSPATHS_BUDGET"
@@ -125,15 +128,17 @@ def cycles_on_route(profile: CactusProfile, x: int, y: int) -> int:
         raise ValueError("endpoints must be distinct")
     if not (0 <= x < profile.graph.n and 0 <= y < profile.graph.n):
         raise ValueError("vertex out of range")
+    blocks = profile.tree.blocks
     tree = profile.tree.rooted
     a, b = tree.node[x], tree.node[y]
     cycles = 0
-    while a != b:  # climb from the deeper end until the routes meet
+    while True:  # climb from the deeper end until the routes meet
         if tree.depth[a] < tree.depth[b]:
             a, b = b, a
-        cycles += tree.weight[a] == 2
+        cycles += a < len(blocks) and blocks[a].kind == CYCLE
+        if a == b:
+            return cycles
         a = tree.parent[a]
-    return cycles + (tree.weight[a] == 2)
 
 
 def cactus_count_between(profile: CactusProfile, x: int, y: int) -> int:
@@ -142,37 +147,16 @@ def cactus_count_between(profile: CactusProfile, x: int, y: int) -> int:
 
 
 def cactus_path_count(profile: CactusProfile) -> int:
-    """Subpath number of a cactus: n + sum over unordered pairs of 2^c.
-
-    One bottom-up pass over the rooted block-cut tree.  A[x] sums, over the
-    vertices v below x, the product of the weights from node[v] up to x:
-    A[x] = w_x * (occ_x + sum of A over the children of x).  The pairs whose
-    routes meet at x contribute w_x times the sum of products of distinct
-    terms of occ_x, A[child], ..., taken with a running sum.
-    """
-    g = profile.graph
-    if g.n <= 1:
-        return g.n
-    tree = profile.tree.rooted
-    below = list(tree.occupants)  # occ_x + sum of A[child], filled bottom-up
-    pairs = [c * (c - 1) // 2 for c in tree.occupants]
-    total = g.n
-    for x in reversed(tree.order):
-        w = tree.weight[x]
-        total += w * pairs[x]
-        p = tree.parent[x]
-        if p >= 0:
-            a = w * below[x]
-            pairs[p] += below[p] * a
-            below[p] += a
-        below[x] = pairs[x] = 0  # x is done: free its big integers
-    return total
+    """Subpath number of a cactus: ring_path_count over the profile's hung
+    rings (RootedBlockCutTree.rings)."""
+    return ring_path_count(profile.graph.n, profile.tree.rooted.rings)
 
 
 def ring_path_count(n: int, rings: Iterable[Sequence[int]]) -> int:
     """Subpath number of the cactus on vertices 0..n-1 whose blocks are
     rings, each starting at its top vertex and listed after every block
-    below it (census.Rings); equal to cactus_path_count.
+    below it (graphs.Rings): n + sum over unordered pairs of 2^c, with O(n)
+    integer operations.
 
     S[v] sums, over the vertices x hanging at or below v, the number of
     x-v paths.  A ring with top t and below-values a_i = S[u_i] joins the
@@ -182,14 +166,16 @@ def ring_path_count(n: int, rings: Iterable[Sequence[int]]) -> int:
     """
     S = [1] * n
     total = n
-    for t, *below in rings:
+    for ring in rings:
+        below = iter(ring)
+        t = next(below)
         run = pairs = 0
         for u in below:
             a = S[u]
             pairs += run * a
             run += a
             S[u] = 0  # u is done: free its big integer
-        w = 2 if len(below) > 1 else 1
+        w = 2 if len(ring) > 2 else 1
         total += w * (pairs + S[t] * run)
         S[t] += w * run
     return total

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .census import Rings, canonical_key, census_with_rings, enumerate_cacti
+from .census import canonical_key, census_with_rings, enumerate_cacti
 from .families import (
     balanced_saw,
     cycle_graph,
@@ -15,10 +15,10 @@ from .families import (
     pseudo_triangle_chain,
 )
 from .formulas import min_cactus_path_count, ptc_summation, tree_path_count
-from .graphs import CactusProfile, Graph, validate_cactus
-from .indices import cactus_counters, ring_counters
+from .graphs import CactusProfile, Graph, Rings, validate_cactus
+from .indices import ring_counters
 
-INVARIANTS = tuple(cactus_counters())
+INVARIANTS = tuple(ring_counters())
 
 
 def _known(invariants: tuple[str, ...]) -> tuple[str, ...]:
@@ -198,7 +198,10 @@ def _pfg_and_ties(n: int, k: int, invariant) -> tuple[set[bytes], str]:
     if k == 1:
         cycle = cycle_graph(n)
         ck = canonical_key(cycle)
-        if ck not in keys and invariant(validate_cactus(cycle)) == invariant(validate_cactus(pfg)):
+        cycle_value, pfg_value = (
+            invariant(n, validate_cactus(g).tree.rooted.rings) for g in (cycle, pfg)
+        )
+        if ck not in keys and cycle_value == pfg_value:
             return keys | {ck}, f"; C_{n} ties PFG({n}, 1)"
     return keys, ""
 
@@ -268,7 +271,7 @@ def verify_theorems(
         keys, detail = _side(reports[inv], pfg_side)
         pfg_ok, tie = None, ""
         if k >= 1:
-            expected, tie = _pfg_and_ties(n, k, cactus_counters()[inv])
+            expected, tie = _pfg_and_ties(n, k, ring_counters()[inv])
             pfg_ok = keys == expected
         checks.append(Check(f"{inv}_{pfg_side}_is_pfg", k >= 1, pfg_ok, detail + tie))
         keys, detail = _side(reports[inv], bsg_side)

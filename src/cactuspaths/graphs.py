@@ -248,6 +248,14 @@ class Block:
         return len(self.vertices)
 
 
+# A cactus's blocks as rings: each bridge as its two ends, each cycle in
+# cyclic order, hung from vertex 0.  Each ring starts at its top vertex, the
+# one towards vertex 0, and comes after every ring below it, so every vertex
+# but 0 is a non-top vertex of exactly one ring.  It is the order the ring
+# passes read.  RootedBlockCutTree.rings lists a tree's blocks this way, and
+# the census stores each class's blocks this way.
+Rings = tuple[tuple[int, ...], ...]
+
 _edges_of = attrgetter("edges")  # the key that orders BlockCutTree.blocks
 
 
@@ -273,39 +281,49 @@ class BlockCutTree:
 
     @cached_property
     def rooted(self) -> "RootedBlockCutTree":
-        """The tree with integer node ids, rooted at block 0."""
-        nblocks = len(self.blocks)
+        """The tree with integer node ids, rooted at block 0, with its
+        blocks as Rings hung from block 0's first vertex, which on a
+        connected graph is vertex 0."""
+        blocks = self.blocks
+        nblocks = len(blocks)
         cuts = tuple(sorted(self.cut_vertices))
         cut_id = {v: nblocks + j for j, v in enumerate(cuts)}
         size = nblocks + len(cuts)
         parent = [-1] * size
         depth = [0] * size
         order = [0] if size else []
+        rings = [blocks[0].vertices] if size else []  # in order, parents first
         for x in order:  # grows while it is read: a breadth-first walk
             if x < nblocks:
                 nbrs = [cut_id[v] for v in self.incidence[x]]
             else:
-                nbrs = self.blocks_of_cut_vertex[cuts[x - nblocks]]
+                top = cuts[x - nblocks]
+                nbrs = self.blocks_of_cut_vertex[top]
             for y in nbrs:
                 if y != parent[x]:
                     parent[y] = x
                     depth[y] = depth[x] + 1
                     order.append(y)
-        occupants = [len(b) - len(c) for b, c in zip(self.blocks, self.incidence)]
-        occupants += [1] * len(cuts)
-        node = [0] * sum(occupants)  # every vertex occupies exactly one node
-        for i, b in enumerate(self.blocks):
+                    if y < nblocks:  # a block hung at the cut vertex x
+                        ring = blocks[y].vertices
+                        if ring[0] != top:
+                            i = ring.index(top)
+                            ring = ring[i:] + ring[:i]
+                        rings.append(ring)
+        rings.reverse()
+        # every vertex lies at exactly one node: a cut vertex at its own,
+        # any other vertex at its one block
+        node = [0] * (sum(map(len, blocks)) - sum(map(len, self.incidence)) + len(cuts))
+        for i, b in enumerate(blocks):
             for v in b.vertices:
                 node[v] = cut_id.get(v, i)
         return RootedBlockCutTree(
             parent=tuple(parent),
             order=tuple(order),
             depth=tuple(depth),
-            weight=tuple(2 if b.kind == CYCLE else 1 for b in self.blocks)
-            + (1,) * len(cuts),
-            occupants=tuple(occupants),
             node=tuple(node),
             cuts=cuts,
+            rings=tuple(rings),
         )
 
 
@@ -315,18 +333,16 @@ class RootedBlockCutTree:
 
     Nodes 0..B-1 are the blocks in BlockCutTree order, then come the cut
     vertices in increasing order.  A vertex lives at node[v]: its own cut
-    node if it is a cut vertex, else its unique block.  On a cactus the
-    number of paths between two vertices is the product of the weights on
-    the tree route between their nodes.
+    node if it is a cut vertex, else its unique block.  rings lists the
+    blocks hung from the root, the form the ring passes read (Rings).
     """
 
     parent: tuple[int, ...]  # -1 at the root
     order: tuple[int, ...]  # breadth-first from the root: parents first
     depth: tuple[int, ...]
-    weight: tuple[int, ...]  # 2 for a cycle block, else 1
-    occupants: tuple[int, ...]  # vertices v with node[v] == x
     node: tuple[int, ...]
     cuts: tuple[int, ...]  # node B + j is the cut vertex cuts[j]
+    rings: Rings
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:

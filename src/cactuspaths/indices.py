@@ -2,10 +2,11 @@
 
 wiener and subtree_count work on any graph by brute force and serve as the
 oracles.  On a cactus, ring_wiener and ring_subtree_count compute the same
-values in one bottom-up pass over its blocks as rings, hung from a root,
-with O(n) integer operations.  cactus_wiener and cactus_subtree_count feed
-them a profile's rings, rooted at block 0, for the triple of a cactus; the
-sweeps feed them each census class's rings as the census stores them.
+values in one bottom-up pass over its blocks as hung rings (graphs.Rings),
+with O(n) integer operations.  cactus_wiener and cactus_subtree_count run
+them on a profile's rings (RootedBlockCutTree.rings), as invariant_triple
+does with all three ring passes on a cactus; the sweeps run them on each
+census class's rings as the census stores them.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .counting import (
-    BudgetExceededError,
-    cactus_path_count,
-    count_paths,
-    ring_path_count,
-    work_budget,
-)
+from .counting import BudgetExceededError, count_paths, ring_path_count, work_budget
 from .graphs import (
     CactusProfile,
     DisconnectedError,
@@ -101,34 +96,16 @@ def subtree_count(g: Graph, budget: int | None = None) -> int:
     return g.n + len(seen)
 
 
-def _rings(profile: CactusProfile):
-    """Every block's vertices, each block after all the blocks below it,
-    rotated so that the block's top vertex comes first: the cut vertex to
-    its parent block, or the first vertex of the root block.  The rest
-    follow in cyclic order.  Every vertex but the root block's top is a
-    non-top vertex of exactly one block."""
-    tree = profile.tree
-    rooted = tree.rooted
-    nblocks = len(tree.blocks)
-    for x in reversed(rooted.order):
-        if x >= nblocks:
-            continue
-        ring = tree.blocks[x].vertices
-        p = rooted.parent[x]
-        t = ring.index(rooted.cuts[p - nblocks]) if p >= 0 else 0
-        yield ring[t:] + ring[:t]
-
-
 def cactus_subtree_count(profile: CactusProfile) -> int:
     """Subtree number of a cactus, equal to subtree_count: ring_subtree_count
-    over the profile's rings (_rings)."""
-    return ring_subtree_count(profile.graph.n, _rings(profile))
+    over the profile's hung rings (RootedBlockCutTree.rings)."""
+    return ring_subtree_count(profile.graph.n, profile.tree.rooted.rings)
 
 
 def ring_subtree_count(n: int, rings: Iterable[Sequence[int]]) -> int:
     """Subtree number of the cactus on vertices 0..n-1 whose blocks are
     rings, each starting at its top vertex and listed after every block
-    below it, as _rings lists them and the census stores them (census.Rings).
+    below it (graphs.Rings).
 
     F[v] counts the subtrees whose top vertex is v: a product over the
     blocks below v.  A bridge to u gives 1 + F[u].  A cycle whose ring
@@ -187,8 +164,8 @@ def _ring_distances(w: list[int]) -> int:
 
 def cactus_wiener(profile: CactusProfile) -> int:
     """Wiener index of a cactus, equal to wiener: ring_wiener over the
-    profile's rings (_rings)."""
-    return ring_wiener(profile.graph.n, _rings(profile))
+    profile's hung rings (RootedBlockCutTree.rings)."""
+    return ring_wiener(profile.graph.n, profile.tree.rooted.rings)
 
 
 def ring_wiener(n: int, rings: Iterable[Sequence[int]]) -> int:
@@ -210,18 +187,11 @@ def ring_wiener(n: int, rings: Iterable[Sequence[int]]) -> int:
     return total
 
 
-def cactus_counters() -> dict[str, Callable[[CactusProfile], int]]:
-    """The linear counter of each invariant on a cactus profile, by the name
-    that the CLI, the sweeps' invariant lists and InvariantTriple's fields
-    use.  The sweeps evaluate census classes with ring_counters instead.
-    Built on each call from this module's names, so that a wrapper put over
-    one of them, as perfbench/tracer.py does, sees the calls."""
-    return {"pn": cactus_path_count, "wiener": cactus_wiener, "subtrees": cactus_subtree_count}
-
-
 def ring_counters() -> dict[str, Callable[[int, Iterable[Sequence[int]]], int]]:
-    """The ring pass of each invariant, by cactus_counters' names: each takes
-    n and a cactus's hung rings (census.Rings)."""
+    """The ring pass of each invariant, by the name that the CLI, the
+    sweeps' invariant lists and InvariantTriple's fields use: each takes n
+    and a cactus's hung rings (graphs.Rings).  Built on each call from this
+    module's names, so that a wrapper put over one of them sees the calls."""
     return {"pn": ring_path_count, "wiener": ring_wiener, "subtrees": ring_subtree_count}
 
 
@@ -253,4 +223,5 @@ def invariant_triple(g: Graph, budget: int | None = None) -> InvariantTriple:
         return InvariantTriple(
             count_paths(g, budget=budget), wiener(g), subtree_count(g, budget=budget)
         )
-    return InvariantTriple(**{name: count(profile) for name, count in cactus_counters().items()})
+    n, rings = g.n, profile.tree.rooted.rings
+    return InvariantTriple(**{name: count(n, rings) for name, count in ring_counters().items()})

@@ -70,7 +70,7 @@ def test_sweep_rows_reads_values_from_the_report(monkeypatch):
     def no_evaluation(*args, **kwargs):
         raise AssertionError("sweep_rows evaluated an invariant")
 
-    for name in ("_evaluate", "cactus_counters"):
+    for name in ("_evaluate", "ring_counters"):
         monkeypatch.setattr(extremal, name, no_evaluation)
     rows = sweep_rows(rep)
     assert [int(r["value"]) for r in rows] == list(rep.values)

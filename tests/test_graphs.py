@@ -211,9 +211,10 @@ def test_bct_edge_partition_and_tree_shape():
 
 
 def test_bct_rooted_form():
-    for g in [cycle_chain([3, 4, 3]), path_graph(6), pseudo_friendship(10, 3)] + [
-        g for n in range(2, 8) for k in range((n - 1) // 2 + 1) for g in enumerate_cacti(n, k)
-    ]:
+    census = [g for n in range(2, 8) for k in range((n - 1) // 2 + 1) for g in enumerate_cacti(n, k)]
+    # reversed labels, so that blocks hang from vertices other than their least
+    reversed_labels = [g.relabel(range(g.n - 1, -1, -1)) for g in census]
+    for g in [cycle_chain([3, 4, 3]), path_graph(6), pseudo_friendship(10, 3)] + census + reversed_labels:
         t = block_cut_tree(g)
         r = t.rooted
         cuts = sorted(t.cut_vertices)
@@ -226,9 +227,16 @@ def test_bct_rooted_form():
             assert position[p] < position[x] and r.depth[x] == r.depth[p] + 1
             block, cut = (x, p) if x < len(t.blocks) else (p, x)
             assert cuts[cut - len(t.blocks)] in t.incidence[block]
-        assert r.weight == tuple(2 if b.kind == CYCLE else 1 for b in t.blocks) + (1,) * len(cuts)
         assert len(r.node) == g.n
-        assert r.occupants == tuple(r.node.count(x) for x in range(size))
+        # the blocks, children before parents, each rotated to start at the
+        # cut vertex it hangs from, the root block at vertex 0
+        hung = []
+        for x in reversed(r.order):
+            if x < len(t.blocks):
+                ring = t.blocks[x].vertices
+                i = ring.index(cuts[r.parent[x] - len(t.blocks)] if x else 0)
+                hung.append(ring[i:] + ring[:i])
+        assert r.rings == tuple(hung)
         for v in range(g.n):
             x = r.node[v]
             assert (cuts[x - len(t.blocks)] == v) if v in t.cut_vertices else v in t.blocks[x].vertex_set

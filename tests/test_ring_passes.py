@@ -1,15 +1,16 @@
 """The ring passes (counting.ring_path_count, indices.ring_wiener and
 indices.ring_subtree_count) over hung rings, as the census stores them and
-as indices._rings lists a profile's blocks: equal to the profile counters
-and to the brute-force oracles."""
+as RootedBlockCutTree.rings lists a profile's blocks: equal to the
+brute-force oracles, and the same under relabelling."""
 
 import random
 
 from cactuspaths.census import census_with_rings, random_cactus
 from cactuspaths.counting import cactus_path_count, count_paths, ring_path_count
+from cactuspaths.families import cycle_chain, pseudo_friendship
+from cactuspaths.formulas import ptc_summation
 from cactuspaths.graphs import validate_cactus
 from cactuspaths.indices import (
-    _rings,
     cactus_subtree_count,
     cactus_wiener,
     ring_subtree_count,
@@ -49,14 +50,49 @@ def test_ring_passes_match_the_counters_and_oracles_on_the_census():
     assert classes == 2866
 
 
-def test_ring_passes_match_the_counters_on_relabelled_random_cacti():
+def test_ring_passes_match_the_oracles_and_relabellings_on_random_cacti():
+    # the profile counters are the ring passes on tree.rooted.rings, so they
+    # are judged by the brute-force oracles up to n = 14, and up to n = 150
+    # by two relabellings of each graph, which mostly root tree.rooted at
+    # different blocks and so hang its rings differently
     rng = random.Random(1919)
-    for _ in range(300):
-        n = rng.randrange(1, 151)
-        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng).relabel(rng.sample(range(n), n))
-        profile = validate_cactus(g)
-        hung = list(_rings(profile))
-        # every block once
-        assert sorted(map(sorted, hung)) == sorted(sorted(b.vertices) for b in profile.tree.blocks)
-        assert_hung(n, hung)
-        assert ring_passes(n, hung) == profile_counters(profile), g
+    other_root = 0
+    for i in range(400):
+        n = rng.randrange(1, 15) if i < 100 else rng.randrange(1, 151)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        values, roots = set(), set()
+        for _ in range(2):
+            perm = rng.sample(range(n), n)
+            profile = validate_cactus(g.relabel(perm))
+            hung = profile.tree.rooted.rings
+            # every block once
+            assert sorted(map(sorted, hung)) == sorted(sorted(b.vertices) for b in profile.tree.blocks)
+            assert_hung(n, hung)
+            values.add(profile_counters(profile))
+            if hung:
+                roots.add(frozenset(perm.index(v) for v in hung[-1]))
+        assert len(values) == 1, g
+        if n <= 14:
+            assert values == {(count_paths(g), wiener(g), subtree_count(g))}, g
+        other_root += len(roots) > 1
+    assert other_root > 300, other_root
+
+
+def test_profile_counters_meet_closed_forms_on_a_large_pseudo_friendship_graph():
+    # PFG(n, k): k triangles and n - 2k - 1 pendant vertices at one centre,
+    # so every pair of vertices is at distance at most 2, and a subtree
+    # through the centre picks one of 6 shapes in each triangle and takes
+    # each pendant edge or not
+    n, k = 20001, 5000
+    profile = validate_cactus(pseudo_friendship(n, k))
+    assert cactus_wiener(profile) == (n - 1) ** 2 - k
+    assert cactus_subtree_count(profile) == 6**k * 2 ** (n - 2 * k - 1) + n + k - 1
+
+
+def test_profile_counters_are_label_free_on_a_long_triangle_chain():
+    g = cycle_chain([3] * 5000)
+    assert g.n == 10001
+    natural = profile_counters(validate_cactus(g))
+    relabelled = profile_counters(validate_cactus(g.relabel(random.Random(21).sample(range(g.n), g.n))))
+    assert natural == relabelled
+    assert natural[0] == ptc_summation(g.n, 5000)

@@ -66,3 +66,37 @@ def test_census_table_rejects_a_census_size_below_one(n_max):
     assert proc.stdout == ""
     assert "error: argument --n-max" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_verify_rewrites_rejects_a_count_below_one(count):
+    # checking no cactus and exiting 0 would pass for a run whose checks held
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "verify_rewrites.py"), "--count", count],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: argument --count" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--n-max", "0"], ["--n-min", "9", "--n-max", "3"], ["--k-max", "1"], ["--k-min", "3", "--n-max", "6"]],
+    ids=["n_max_0", "n_min_above_n_max", "k_max_1", "no_n_for_k_min"],
+)
+def test_reconcile_ptc_rejects_a_grid_with_no_ptc(args):
+    # a table of no rows would report "oracle == summation on 0" and exit 0
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "reconcile_ptc.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: the grid holds no PTC(n, k)" in proc.stderr
+    assert "Traceback" not in proc.stderr
