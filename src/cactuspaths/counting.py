@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from .graphs import CYCLE, CactusProfile, Graph, connected_components
+from .graphs import CYCLE, CactusProfile, Graph, edge_components
 
 DEFAULT_BUDGET = 10**9
 _BUDGET_ENV = "CACTUSPATHS_BUDGET"
@@ -41,28 +41,23 @@ def count_paths(g: Graph, budget: int | None = None) -> int:
     """Total number of simple paths in g, by exhaustive extension.
 
     Works per connected component, with vertex masks indexed within the
-    component, so disconnected inputs are fine.  Each nontrivial path is
+    component, so disconnected inputs are fine; a vertex without edges has
+    only its trivial path, so only the components with an edge are
+    searched, in memory O(m) whatever n is.  Each nontrivial path is
     counted once by requiring start < end.  Every start vertex and every
-    extension costs one step of the budget.
+    extension costs one step of the budget, the start vertices up front.
     """
     limit = work_budget(budget)
-    if g.n > limit:  # more start vertices than steps: refused before allocating
+    steps = g.n
+    if steps > limit:
         raise BudgetExceededError(f"path enumeration exceeded {limit} extension steps")
     total = g.n  # trivial length-0 paths
-    steps = 0
-    adj = g.adjacency
-    pos = [0] * g.n  # index of each vertex within its component
-    for comp in connected_components(g):
-        steps += len(comp)  # one per start vertex
-        if steps > limit:
-            raise BudgetExceededError(f"path enumeration exceeded {limit} extension steps")
-        if len(comp) == 1:
-            continue
-        for i, v in enumerate(comp):
-            pos[v] = i
+    nbrs, comps = edge_components(g)
+    for comp in comps:
+        pos = {v: i for i, v in enumerate(comp)}  # index within the component
         masks = [0] * len(comp)
         for i, v in enumerate(comp):
-            for u in adj[v]:
+            for u in nbrs[v]:
                 masks[i] |= 1 << pos[u]
         for s in range(len(comp)):
             stack = [(s, 1 << s)]

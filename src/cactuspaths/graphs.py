@@ -1,7 +1,10 @@
 """Immutable simple graphs, edge-list I/O, and block/bridge structure.
 
 Vertices are dense integers 0..n-1 and edges are stored as sorted pairs so
-that every iteration order in the package is deterministic.
+that every iteration order in the package is deterministic.  Large inputs
+are decomposed on the graph's own objects: parse_edge_list makes one int per
+vertex label, and block_cut_tree's walk stacks the graph's edge tuples and
+builds no adjacency, so its blocks hold those tuples.
 """
 
 from __future__ import annotations
@@ -138,20 +141,33 @@ class Graph:
 _MAX_INT_CHARS = 4300
 
 
+def _reads_as_labels(text: str) -> bool:
+    """True iff every token of text that int() accepts is a label: an
+    optional '-' and then ASCII decimal digits.  int() also takes a sign
+    '+', '_' between digits and other scripts' digits, none of which text
+    then holds."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" header plus m lines of "u v" into a Graph.
 
+    A vertex label is an optional '-' and ASCII decimal digits, and each
+    label becomes one int object, shared by every edge that names it.
     Raises a distinct ParseError subclass for malformed lines, out-of-range
     vertices, self-loops, and duplicate edges.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise MalformedLineError("empty input, expected header line 'n m'")
+    plain = _reads_as_labels(text)  # one scan of the text spares one per line
     header = lines[0].split()
     if len(header) != 2:
         raise MalformedLineError(f"header must be 'n m', got {lines[0]!r}")
     try:
         if len(header[0]) > _MAX_INT_CHARS or len(header[1]) > _MAX_INT_CHARS:
+            raise ValueError
+        if not (plain or _reads_as_labels(lines[0])):
             raise ValueError
         n, m = int(header[0]), int(header[1])
     except ValueError:
@@ -161,21 +177,26 @@ def parse_edge_list(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise MalformedLineError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges: set[tuple[int, int]] = set()
+    label = {}.setdefault  # each label seen, to its one shared int
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise MalformedLineError(f"edge line must be 'u v', got {line!r}")
+        a, b = parts
         try:
-            if len(parts[0]) > _MAX_INT_CHARS or len(parts[1]) > _MAX_INT_CHARS:
+            if len(a) > _MAX_INT_CHARS or len(b) > _MAX_INT_CHARS:
                 raise ValueError
-            u, v = int(parts[0]), int(parts[1])
+            if not (plain or _reads_as_labels(line)):
+                raise ValueError
+            u, v = int(a), int(b)
         except ValueError:
             raise MalformedLineError(f"edge line must be two integers, got {line!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise VertexRangeError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        e = _normalize_edge(u, v)
+        u, v = label(u, u), label(v, v)
+        e = (u, v) if u < v else (v, u)
         if e in edges:
             raise DuplicateEdgeError(f"duplicate edge {e}")
         edges.add(e)
@@ -197,23 +218,36 @@ def is_connected(g: Graph) -> bool:
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    seen = [False] * g.n
+    """Every component of g, each sorted, in order of least vertex."""
+    nbrs, comps = edge_components(g)
+    comps.extend((v,) for v in range(g.n) if v not in nbrs)
+    comps.sort()
+    return comps
+
+
+def edge_components(g: Graph) -> tuple[dict[int, list[int]], list[tuple[int, ...]]]:
+    """The neighbours of each vertex that has an edge, and the components
+    with an edge, each sorted: O(m) memory, whatever n is."""
+    nbrs: dict[int, list[int]] = {}
+    for u, v in g.edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    seen = set()
     comps = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in nbrs:
+        if start in seen:
             continue
         comp = [start]
-        seen[start] = True
+        seen.add(start)
         stack = [start]
         while stack:
-            v = stack.pop()
-            for u in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
+            for u in nbrs[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
                     comp.append(u)
                     stack.append(u)
         comps.append(tuple(sorted(comp)))
-    return comps
+    return nbrs, comps
 
 
 def find_bridges(g: Graph) -> list[tuple[int, int]]:
@@ -349,21 +383,28 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     """Decompose a connected graph into blocks and cut vertices.
 
     One Hopcroft-Tarjan DFS from vertex 0 with an edge stack, which also
-    detects disconnection; blocks are reported in a deterministic (sorted)
-    order.
+    detects disconnection.  The walk reads, for this call only, each
+    vertex's incident edges as the graph's own tuples, and stacks those
+    tuples, so the blocks hold g's edge objects; it builds no adjacency.
+    Blocks are reported in a deterministic (sorted) order, whatever order
+    the walk met them in.
     """
     n = g.n
     if n == 0:
         return BlockCutTree((), frozenset(), ())
     if g.m < n - 1:  # too few edges: decided before allocating per-vertex state
         raise DisconnectedError("block_cut_tree requires a connected graph")
-    adj = g.adjacency
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in g.edges:
+        u, v = e
+        incident[u].append(e)
+        incident[v].append(e)
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
-    cursor = [0] * n  # next adjacency index to scan at each vertex
+    cursor = [0] * n  # next index into incident[v] to scan at each vertex
     base = [0] * n  # edge-stack height when the tree edge into v was pushed
-    edge_stack: list[tuple[int, int]] = []  # sorted pairs
+    edge_stack: list[tuple[int, int]] = []  # g's own edge tuples
     raw_blocks: list[list[tuple[int, int]]] = []
     cut: set[int] = set()
     root_children = 0
@@ -372,13 +413,16 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     stack = [0]  # the DFS path
     while stack:
         v = stack[-1]
-        nbrs = adj[v]
+        at_v = incident[v]
         i = cursor[v]
         dv = disc[v]
         pv = parent[v]
-        while i < len(nbrs):
-            u = nbrs[i]
+        while i < len(at_v):
+            e = at_v[i]
             i += 1
+            a, u = e
+            if u == v:
+                u = a
             du = disc[u]
             if du == -1:  # tree edge: descend into u
                 cursor[v] = i
@@ -386,11 +430,11 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                 disc[u] = low[u] = timer
                 timer += 1
                 base[u] = len(edge_stack)
-                edge_stack.append((v, u) if v < u else (u, v))
+                edge_stack.append(e)
                 stack.append(u)
                 break
             if du < dv and u != pv:  # back edge to an ancestor
-                edge_stack.append((u, v) if u < v else (v, u))
+                edge_stack.append(e)
                 if du < low[v]:
                     low[v] = du
         else:  # v is finished

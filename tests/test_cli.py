@@ -391,6 +391,22 @@ def test_oversized_vertex_count_gets_a_documented_exit(capsys, tmp_path):
     assert code == EXIT_INVALID and "header must be two integers" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("11 1\n0 1_0\n", "edge line must be two integers"),
+        ("3 1\n0 +1\n", "edge line must be two integers"),
+        ("3 1\n0 \u0661\n", "edge line must be two integers"),
+        ("+3 1\n0 1\n", "header must be two integers"),
+    ],
+)
+def test_integer_literal_syntax_is_not_a_label(capsys, tmp_path, text, message):
+    path = tmp_path / "literal.edges"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["pn", "--in", str(path)])
+    assert code == EXIT_INVALID and out == "" and message in err
+
+
 @st.composite
 def near_miss_edge_lists(draw):
     """Edge-list text that is valid or one slip away from it: a random

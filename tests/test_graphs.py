@@ -66,11 +66,19 @@ def test_parse_self_loop():
 def test_parse_out_of_range():
     with pytest.raises(VertexRangeError):
         parse_edge_list("3 1\n0 3")
+    with pytest.raises(VertexRangeError):
+        parse_edge_list("3 1\n0 -1")
 
 
 @pytest.mark.parametrize(
     "text",
-    ["", "3", "3 1 7", "a b", "3 1\n0", "3 1\n0 x", "3 2\n0 1", "3 0\n0 1"],
+    [
+        "", "3", "3 1 7", "a b", "3 1\n0", "3 1\n0 x", "3 2\n0 1", "3 0\n0 1",
+        # a label is an optional '-' and ASCII decimal digits, not any
+        # integer literal that int() reads
+        "11 1\n0 1_0", "3 1\n0 +1", "3 1\n0 \u0661", "3 1\n0 --1", "3 1\n0 -",
+        "+3 1\n0 1", "3 +1\n0 1", "3_0 1\n0 1", "\u0663 1\n0 1",
+    ],
 )
 def test_parse_malformed(text):
     with pytest.raises(MalformedLineError):

@@ -1,0 +1,99 @@
+"""Large inputs are decomposed on the graph's own objects: parse_edge_list
+shares one int per vertex label, and block_cut_tree walks and stacks g's own
+edge tuples without building g.adjacency.  The walk's order then follows
+the edge set's iteration order, which the returned tree must not show."""
+
+import random
+import tracemalloc
+
+from cactuspaths.census import all_graphs, enumerate_cacti, random_cactus
+from cactuspaths.counting import count_paths
+from cactuspaths.families import cycle_chain, path_graph, pseudo_friendship
+from cactuspaths.graphs import (
+    Graph,
+    block_cut_tree,
+    is_connected,
+    parse_edge_list,
+    patch_cactus,
+    to_edge_list_text,
+    validate_cactus,
+)
+
+
+def insertion_orders(g, rng):
+    """g's edge set built by inserting its edges sorted, reversed and
+    shuffled: equal graphs whose edge sets may iterate differently."""
+    edges = sorted(g.edges)
+    shuffled = edges[:]
+    rng.shuffle(shuffled)
+    return [Graph(g.n, frozenset(order)) for order in (edges, edges[::-1], shuffled)]
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_block_cut_tree_does_not_depend_on_edge_iteration_order():
+    rng = random.Random(22)
+    graphs = [g for n in range(1, 7) for g in all_graphs(n) if is_connected(g)]
+    for n in range(1, 10):
+        graphs += [g for k in range((n - 1) // 2 + 1) for g in enumerate_cacti(n, k)]
+    for _ in range(100):
+        n = rng.randint(1, 60)
+        graphs.append(relabelled(random_cactus(n, rng.randint(0, (n - 1) // 2), rng), rng))
+    reordered = 0
+    for g in graphs:
+        variants = insertion_orders(g, rng)
+        assert all(h == g for h in variants)
+        trees = [block_cut_tree(h) for h in variants]
+        assert all(t == trees[0] for t in trees)
+        assert all(t.rooted == trees[0].rooted for t in trees)
+        reordered += len({tuple(h.edges) for h in variants}) > 1
+    # the check bites: many of these edge sets do iterate in another order
+    assert reordered > len(graphs) // 4
+
+
+def test_blocks_hold_the_graphs_own_edge_tuples():
+    rng = random.Random(7)
+    graphs = [pseudo_friendship(41, 12), cycle_chain([3, 5, 4, 3])]
+    graphs += [relabelled(random_cactus(80, 20, rng), rng) for _ in range(10)]
+    graphs += [g for g in all_graphs(5) if is_connected(g)]  # OTHER blocks too
+    for g in graphs:
+        own = {id(e) for e in g.edges}
+        for b in block_cut_tree(g).blocks:
+            assert all(id(e) in own for e in b.edges)
+
+
+def test_validation_and_patching_build_no_adjacency():
+    g = path_graph(6)
+    profile = validate_cactus(g)
+    assert "adjacency" not in g.__dict__
+    after = Graph(g.n, g.edges - {(4, 5)} | {(0, 2), (0, 5)})
+    patched = patch_cactus(profile, after, ((4, 5),), ((0, 2), (0, 5)))
+    assert patched == validate_cactus(after)
+    assert "adjacency" not in g.__dict__ and "adjacency" not in after.__dict__
+
+
+def test_parsed_labels_are_one_object_each():
+    rng = random.Random(3)
+    g = relabelled(random_cactus(500, 120, rng), rng)
+    parsed = parse_edge_list(to_edge_list_text(g))
+    assert parsed == g
+    first = {}
+    for e in parsed.edges:
+        for x in e:
+            assert first.setdefault(x, x) is x
+
+
+def test_count_paths_allocates_nothing_per_isolated_vertex():
+    """The million vertices without edges are counted, not stored."""
+    g = Graph(10**6, frozenset({(0, 1)}))
+    tracemalloc.start()
+    try:
+        assert count_paths(g) == 10**6 + 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
