@@ -247,8 +247,8 @@ def _cmd_indices(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    g = _load_graph(args)
-    print(json.dumps(validate_cactus(g).to_json(), sort_keys=True))
+    profile = validate_cactus(_load_graph(args))  # raises before any output
+    profile.write_json(sys.stdout.write)
     return EXIT_OK
 
 

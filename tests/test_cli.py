@@ -24,7 +24,7 @@ from cactuspaths.families import (
     pseudo_triangle_chain,
 )
 from cactuspaths.formulas import ptc_summation
-from cactuspaths.graphs import to_edge_list_text
+from cactuspaths.graphs import Graph, to_edge_list_text
 from cactuspaths.transforms import RULES
 
 
@@ -252,6 +252,55 @@ def test_profile_cli(capsys):
 def test_profile_cli_rejects_non_cactus(capsys, k4_file):
     code, _, err = run(capsys, ["profile", "--in", k4_file])
     assert code == EXIT_INVALID and "neither an edge nor a cycle" in err
+
+
+@pytest.mark.parametrize(
+    "text, report",
+    [
+        (
+            "0 0\n",
+            '{"bridges": [], "cycles": [], "end_cycles": [], "graph": {"edges": [], "n": 0}, '
+            '"interior_cycles": [], "intersection_vertices": [], "k": 0, '
+            '"tree": {"blocks": [], "cut_vertices": []}}\n',
+        ),
+        (
+            "1 0\n",
+            '{"bridges": [], "cycles": [], "end_cycles": [], "graph": {"edges": [], "n": 1}, '
+            '"interior_cycles": [], "intersection_vertices": [], "k": 0, '
+            '"tree": {"blocks": [], "cut_vertices": []}}\n',
+        ),
+        (
+            "2 1\n0 1\n",
+            '{"bridges": [[0, 1]], "cycles": [], "end_cycles": [], '
+            '"graph": {"edges": [[0, 1]], "n": 2}, "interior_cycles": [], '
+            '"intersection_vertices": [], "k": 0, '
+            '"tree": {"blocks": [{"kind": "bridge", "vertices": [0, 1]}], "cut_vertices": []}}\n',
+        ),
+    ],
+)
+def test_profile_stdout_is_exact(capsys, tmp_path, text, report):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    assert run(capsys, ["profile", "--in", str(path)]) == (EXIT_OK, report, "")
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (complete_graph(4).sorted_edges, "block on vertices (0, 1, 2, 3) is neither an edge nor a cycle"),
+        ([(0, 1), (2, 3)], "block_cut_tree requires a connected graph"),
+        # two K4s joined by the bridge 3-4: the walk closes the K4 on 4..7
+        # first, and the error names the first in edge order
+        (
+            [*complete_graph(4).sorted_edges, (3, 4), *((u + 4, v + 4) for u, v in complete_graph(4).sorted_edges)],
+            "block on vertices (0, 1, 2, 3) is neither an edge nor a cycle",
+        ),
+    ],
+)
+def test_profile_errors_write_nothing_to_stdout(capsys, tmp_path, edges, message):
+    path = tmp_path / "g.edges"
+    path.write_text(to_edge_list_text(Graph.from_edges(1 + max(map(max, edges)), edges)))
+    assert run(capsys, ["profile", "--in", str(path)]) == (EXIT_INVALID, "", f"error: {message}\n")
 
 
 def test_empty_graph_is_the_trivial_cactus(capsys, tmp_path):

@@ -10,7 +10,8 @@ import json
 import random
 
 from cactuspaths.census import enumerate_cacti, random_cactus
-from cactuspaths.graphs import validate_cactus
+from cactuspaths.cli import main
+from cactuspaths.graphs import to_edge_list_text, validate_cactus
 from cactuspaths.transforms import maximize_to_fixpoint, minimize_to_fixpoint
 
 # over the census n <= 8, whose representatives changed when every census
@@ -35,10 +36,25 @@ def relabeled_random_cacti(seed, count, max_n):
         yield g.relabel(rng.sample(range(n), n))
 
 
-def test_profiles_are_pinned():
+def profiled_graphs():
     census = (g for n in range(1, 9) for k in range((n - 1) // 2 + 1) for g in enumerate_cacti(n, k))
-    graphs = [*census, *relabeled_random_cacti(2024, 50, 300)]
-    assert digest(validate_cactus(g).to_json() for g in graphs) == PROFILES_SHA256
+    return [*census, *relabeled_random_cacti(2024, 50, 300)]
+
+
+def test_profiles_are_pinned():
+    assert digest(validate_cactus(g).to_json() for g in profiled_graphs()) == PROFILES_SHA256
+
+
+def test_profile_stdout_is_pinned(capsys, tmp_path):
+    """`profile` writes each report as json.dumps(..., sort_keys=True) plus
+    a newline, which is what the digest hashes."""
+    path = tmp_path / "g.edges"
+    h = hashlib.sha256()
+    for g in profiled_graphs():
+        path.write_text(to_edge_list_text(g))
+        assert main(["profile", "--in", str(path)]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == PROFILES_SHA256
 
 
 def test_fixpoint_histories_are_pinned():

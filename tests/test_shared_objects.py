@@ -1,7 +1,9 @@
 """Large inputs are decomposed on the graph's own objects: parse_edge_list
 shares one int per vertex label, and block_cut_tree walks and stacks g's own
 edge tuples without building g.adjacency.  The walk's order then follows
-the edge set's iteration order, which the returned tree must not show."""
+the edge set's iteration order, which the returned tree must not show.
+CactusProfile.write_json streams the report from the tree and the graph
+without building it."""
 
 import random
 import tracemalloc
@@ -96,4 +98,27 @@ def test_count_paths_allocates_nothing_per_isolated_vertex():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_profile_writer_holds_no_report():
+    """The report of a 20,001-vertex triangle chain is 1.2 MB of text, and
+    as lists and dicts before json.dumps it peaked at 10.7 MiB; the writer
+    holds one chunk of it at a time."""
+    profile = validate_cactus(cycle_chain([3] * 10_000))
+    profile.graph.sorted_edges  # the graph's own cache, not the report's
+    written = 0
+
+    def discard(text):
+        nonlocal written
+        written += len(text)
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        profile.write_json(discard)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert written > 10**6
     assert peak < 2**20
