@@ -5,6 +5,8 @@ the edge set's iteration order, which the returned tree must not show.
 CactusProfile.write_json streams the report from the tree and the graph
 without building it."""
 
+import io
+import json
 import random
 import tracemalloc
 
@@ -103,7 +105,7 @@ def test_count_paths_allocates_nothing_per_isolated_vertex():
 
 def test_profile_writer_holds_no_report():
     """The report of a 20,001-vertex triangle chain is 1.2 MB of text, and
-    as lists and dicts before json.dumps it peaked at 10.7 MiB; the writer
+    as lists and dicts before json.dumps it peaked at 10.6 MiB; the writer
     holds one chunk of it at a time."""
     profile = validate_cactus(cycle_chain([3] * 10_000))
     profile.graph.sorted_edges  # the graph's own cache, not the report's
@@ -122,3 +124,28 @@ def test_profile_writer_holds_no_report():
         tracemalloc.stop()
     assert written > 10**6
     assert peak < 2**20
+
+
+def test_profile_writer_matches_the_report_as_lists_and_dicts():
+    """Across chunk boundaries: every list here but k's has more than a
+    chunk's items on some graph."""
+    rng = random.Random(23)
+    graphs = [path_graph(3000), cycle_chain([3] * 1500), pseudo_friendship(2201, 1100)]
+    for g in [*graphs, relabelled(random_cactus(4000, 900, rng), rng)]:
+        p = validate_cactus(g)
+        report = {
+            "graph": {"n": g.n, "edges": [list(e) for e in g.sorted_edges]},
+            "tree": {
+                "blocks": [{"kind": b.kind, "vertices": list(b.vertices)} for b in p.tree.blocks],
+                "cut_vertices": sorted(p.tree.cut_vertices),
+            },
+            "k": p.k,
+            "bridges": [list(e) for e in p.bridges],
+            "cycles": [list(p.tree.blocks[i].vertices) for i in p.cycle_blocks],
+            "end_cycles": list(p.end_cycles),
+            "interior_cycles": list(p.interior_cycles),
+            "intersection_vertices": sorted(p.intersection_vertices),
+        }
+        out = io.StringIO()
+        p.write_json(out.write)
+        assert out.getvalue() == json.dumps(report, sort_keys=True) + "\n"
