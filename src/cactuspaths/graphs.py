@@ -562,8 +562,8 @@ class CactusProfile:
 
         It is written a section at a time, at most _CHUNK list items per
         call, straight from the tree and graph.sorted_edges, so the report
-        is never held whole: on a large cactus its lists would take twice
-        the memory of the graph and its tree.
+        is never held whole: as lists and dicts it takes about as much
+        memory again as the graph and its tree.
         """
         g, tree = self.graph, self.tree
         blocks = tree.blocks
