@@ -32,24 +32,21 @@ def _known(invariants: tuple[str, ...]) -> tuple[str, ...]:
 
 def _evaluate(
     classes: Iterable[tuple[Graph, Rings]], invariants: tuple[str, ...]
-) -> tuple[dict[str, list[int]], list[bool]]:
-    """Every invariant of every census class, names as _known returns them,
-    and whether it is an end-triangle cactus.  Each class comes as its graph
-    and its hung rings (census_with_rings), which the ring passes read as
-    they are, with no block-cut tree built.  The rings are first checked
-    against the graph in O(m): their edges must number m and their cycles
-    m - n + 1, else AssertionError."""
+) -> dict[str, list[int]]:
+    """Every invariant of every census class, names as _known returns them.
+    Each class comes as its graph and its hung rings (census_with_rings),
+    which the ring passes read as they are, with no block-cut tree built.
+    The rings are first checked against the graph in O(m): their edges must
+    number m and their cycles m - n + 1, else AssertionError."""
     counters = ring_counters()
     values: dict[str, list[int]] = {inv: [] for inv in invariants}
-    end_triangle = []
     for g, rings in classes:
         cycles = sum(len(ring) > 2 for ring in rings)
         if sum(map(len, rings)) - len(rings) + cycles != g.m or cycles != g.m - g.n + 1:
             raise AssertionError(f"census rings do not match the graph with edges {g.sorted_edges}")
         for inv in invariants:
             values[inv].append(counters[inv](g.n, rings))
-        end_triangle.append(_end_triangle(g.n, rings))
-    return values, end_triangle
+    return values
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,7 @@ def extremal_sweep(
     _known((invariant,))
     census = enumerate_cacti(n, k, guard=guard)
     rings = dict(zip(*census_with_rings(n, k, guard=guard)))  # keyed by the same graphs
-    values, _ = _evaluate(((g, rings[g]) for g in census), (invariant,))
+    values = _evaluate(((g, rings[g]) for g in census), (invariant,))
     return _report(n, k, invariant, census, values[invariant])
 
 
@@ -233,7 +230,7 @@ def verify_theorems(
     invariants = _known(invariants)
     # the checks compare sets of classes, so the census need not be sorted
     census, rings = census_with_rings(n, k, guard=guard) if invariants else ((), ())
-    values, end_triangle = _evaluate(zip(census, rings), invariants)
+    values = _evaluate(zip(census, rings), invariants)
     reports = {inv: _report(n, k, inv, census, values[inv]) for inv in invariants}
     bsg_defined = k >= 2 and n >= 2 * k + 2
     pn = reports.get("pn")
@@ -257,7 +254,7 @@ def verify_theorems(
             name, ok = "pn_max_is_ptc", keys == {ptc_key} and pn.max_value == ptc_summation(n, k)
         checks.append(Check(name, True, ok, detail))
         end_triangle_keys = frozenset(
-            canonical_key(g) for g, flag in zip(census, end_triangle) if flag
+            canonical_key(g) for g, r in zip(census, rings) if _end_triangle(n, r)
         )
         keys, detail = _side(pn, "min")
         ok = keys == end_triangle_keys and pn.min_value == min_cactus_path_count(n, k)

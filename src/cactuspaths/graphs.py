@@ -3,13 +3,15 @@
 Vertices are dense integers 0..n-1 and edges are stored as sorted pairs so
 that every iteration order in the package is deterministic.  Large inputs
 are decomposed on the graph's own objects: parse_edge_list makes one int per
-vertex label, and block_cut_tree's walk stacks the graph's edge tuples and
-builds no adjacency, so its blocks hold those tuples; it makes each block
-when the walk closes it.  CactusProfile.write_json writes the report
-straight from the tree and the graph's sorted edges, a chunk at a time, so
-no report is built: `profile --in` on a 50,001-vertex triangle chain peaks
-at 47 MiB of RSS, against 57 MiB when it encoded the report as lists and
-dicts (173 -> 136 MiB at 200,001 vertices).
+vertex label, and one block walk, under block_cut_tree and patch_cactus
+alike, stacks the graph's edge tuples and builds no adjacency, so its blocks
+hold those tuples.  It makes each block when it closes it and keeps its DFS
+state on its stack, holding only discovery times and incident edges per
+vertex.  CactusProfile.write_json writes the report straight from the tree
+and the graph's sorted edges, a chunk at a time, so no report is built:
+`profile --in` on a 50,001-vertex triangle chain peaks at 47 MiB of RSS,
+against 57 MiB when it encoded the report as lists and dicts (173 -> 136
+MiB at 200,001 vertices).
 """
 
 from __future__ import annotations
@@ -390,12 +392,11 @@ class RootedBlockCutTree:
 def block_cut_tree(g: Graph) -> BlockCutTree:
     """Decompose a connected graph into blocks and cut vertices.
 
-    One Hopcroft-Tarjan DFS from vertex 0 with an edge stack, which also
-    detects disconnection.  The walk reads, for this call only, each
-    vertex's incident edges as the graph's own tuples, and stacks those
-    tuples, so the blocks hold g's edge objects; it builds no adjacency.
-    Blocks are reported in a deterministic (sorted) order, whatever order
-    the walk met them in.
+    One walk (_blocks) from vertex 0, which also detects disconnection.  It
+    reads, for this call only, each vertex's incident edges as the graph's
+    own tuples, and stacks those tuples, so the blocks hold g's edge
+    objects; it builds no adjacency.  Blocks are reported in a deterministic
+    (sorted) order, whatever order the walk met them in.
     """
     n = g.n
     if n == 0:
@@ -407,80 +408,84 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         u, v = e
         incident[u].append(e)
         incident[v].append(e)
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cursor = [0] * n  # next index into incident[v] to scan at each vertex
-    base = [0] * n  # edge-stack height when the tree edge into v was pushed
-    edge_stack: list[tuple[int, int]] = []  # g's own edge tuples
-    blocks: list[Block] = []
-    cut: set[int] = set()
-    root_children = 0
-    disc[0] = 0
-    timer = 1
-    stack = [0]  # the DFS path
-    while stack:
-        v = stack[-1]
-        at_v = incident[v]
-        i = cursor[v]
-        dv = disc[v]
-        pv = parent[v]
-        while i < len(at_v):
-            e = at_v[i]
-            i += 1
-            a, u = e
-            if u == v:
-                u = a
-            du = disc[u]
-            if du == -1:  # tree edge: descend into u
-                cursor[v] = i
-                parent[u] = v
-                disc[u] = low[u] = timer
-                timer += 1
-                base[u] = len(edge_stack)
-                edge_stack.append(e)
-                stack.append(u)
-                break
-            if du < dv and u != pv:  # back edge to an ancestor
-                edge_stack.append(e)
-                if du < low[v]:
-                    low[v] = du
-        else:  # v is finished
-            stack.pop()
-            if pv == -1:
-                continue
-            if low[v] < low[pv]:
-                low[pv] = low[v]
-            if low[v] >= disc[pv]:  # the tree edge (pv, v) closes a block
-                b = base[v]
-                blocks.append(_close_block(edge_stack[b:]))
-                del edge_stack[b:]
-                if pv == 0:
-                    root_children += 1
-                else:
-                    cut.add(pv)
-    if timer < n:
-        raise DisconnectedError("block_cut_tree requires a connected graph")
-    if root_children >= 2:
-        cut.add(0)
-
+    blocks, cut = _blocks(incident, [-1] * n, 0)
     blocks.sort(key=_edges_of)
     incidence = tuple(tuple(sorted(v for v in b.vertices if v in cut)) for b in blocks)
     return BlockCutTree(tuple(blocks), frozenset(cut), incidence)
 
 
-def _close_block(raw: list[tuple[int, int]]) -> Block:
+def _blocks(incident, disc, root: int) -> tuple[list[Block], set[int]]:
+    """The blocks, in the order they close, and the cut vertices of the
+    graph whose edges at each vertex v are incident[v], as sorted pairs.
+    disc holds -1 at every vertex (a list on 0..n-1, or a dict) and gets
+    each discovery time.
+
+    A Hopcroft-Tarjan DFS from root with an edge stack.  A frame of its
+    stack holds a vertex, its parent, the iterator over its unread incident
+    edges, the edge-stack height when its tree edge was pushed and its low
+    point, so only disc and incident are kept per vertex.  Raises
+    DisconnectedError if the walk misses a vertex.
+    """
+    edge_stack: list[tuple[int, int]] = []  # the graph's own edge tuples
+    blocks: list[Block] = []
+    cut: set[int] = set()
+    root_children = 0
+    disc[root] = 0
+    timer = 1
+    stack = [[root, -1, iter(incident[root]), 0, 0]]  # the DFS path: v, pv, edges, base, low
+    while stack:
+        frame = stack[-1]
+        v, pv, edges, base, low = frame
+        dv = disc[v]
+        for e in edges:
+            a, u = e
+            if u == v:
+                u = a
+            du = disc[u]
+            if du == -1:  # tree edge: descend into u
+                frame[4] = low
+                disc[u] = timer
+                stack.append([u, v, iter(incident[u]), len(edge_stack), timer])
+                timer += 1
+                edge_stack.append(e)
+                break
+            if du < dv and u != pv:  # back edge to an ancestor
+                edge_stack.append(e)
+                if du < low:
+                    low = du
+        else:  # v is finished
+            stack.pop()
+            if not stack:
+                continue
+            up = stack[-1]
+            if low < up[4]:
+                up[4] = low
+            if low >= disc[pv]:  # the tree edge (pv, v) closes a block
+                blocks.append(_close_block(edge_stack[base:], pv))
+                del edge_stack[base:]
+                if pv == root:
+                    root_children += 1
+                else:
+                    cut.add(pv)
+    if timer < len(disc):
+        raise DisconnectedError("block_cut_tree requires a connected graph")
+    if root_children >= 2:
+        cut.add(root)
+    return blocks, cut
+
+
+def _close_block(raw: list[tuple[int, int]], top: int) -> Block:
     """The Block of the edges the DFS pops when it closes a block, given in
-    the order they were pushed."""
+    the order they were pushed, with top the vertex it closes at."""
     edges = tuple(sorted(raw))
     if len(edges) == 1:
         return Block(BRIDGE, edges[0], edges)
     vertices = {x for e in raw for x in e}
     if len(edges) != len(vertices):
         return Block(OTHER, tuple(sorted(vertices)), edges)
-    # raw holds the ring in DFS push order: the tree edges down from its top,
-    # which the first and last edges share, then the back edge up to the top
-    cur = raw[0][0] if raw[0][0] in raw[-1] else raw[0][1]
+    # raw holds the ring in DFS push order: the tree edges down from top,
+    # then the back edge up to it
+    cur = top
     ring = [cur]
     for a, b in raw[:-1]:
         cur = b if a == cur else a
@@ -680,6 +685,11 @@ def patch_cactus(
     on a cycle of H' (an added edge closes a cycle through the run), H is
     decomposed whole instead.
 
+    H' keeps the graph's labels and the edge tuples of the old blocks and
+    of `added`, with the star centres numbered from after.n up, and
+    block_cut_tree's walk decomposes it, so when `after` is built from
+    those tuples, as the rewrites build it, every block holds after's own.
+
     Only a vertex of H' can change its cut status, and only a block of H'
     its incidence; the new profile reads the rest off the new tree.
     """
@@ -727,10 +737,10 @@ def patch_cactus(
         rims.append(rim)
 
     gone = sorted(i for i in region if i < nblocks and i not in free)
-    local = _local_blocks(tree, gone, rims, removed, added)
+    local = _local_blocks(tree, gone, rims, after.n, removed, added)
     if local is None:  # a star edge lies on a cycle: decompose all of S
         gone = sorted(i for i in region if i < nblocks)
-        local = _local_blocks(tree, gone, (), removed, added)
+        local = _local_blocks(tree, gone, (), after.n, removed, added)
     verts, fresh, cuts = local
     _refuse_non_cactus(fresh)
 
@@ -764,39 +774,38 @@ def patch_cactus(
     return patched
 
 
-def _local_blocks(tree: BlockCutTree, gone, rims, removed, added):
+def _local_blocks(tree: BlockCutTree, gone, rims, n: int, removed, added):
     """The real vertices of H' (the edges of the blocks `gone` - removed +
     added, plus a star from a fresh vertex to each rim in `rims`, whose
-    vertices lie on those blocks), its blocks other than the star edges and
-    its real cut vertices; None if a star edge lies on a cycle.
+    vertices lie on those blocks), its blocks other than the star edges, in
+    edge order, and its real cut vertices; None if a star edge lies on a
+    cycle.
 
-    H' is relabelled monotonically onto 0..h-1 with the fresh vertices
-    after, so that each cycle keeps its start and direction and the blocks
-    keep their edge order."""
+    H' keeps the graph's own labels and edge tuples, and the star centres
+    are n, n+1, ..., above every real vertex, so a block holding a vertex
+    >= n is a star block."""
+    verts = {x for i in gone for x in tree.blocks[i].vertices}
+    incident: dict[int, list[tuple[int, int]]] = {x: [] for x in verts}
     edges = {e for i in gone for e in tree.blocks[i].edges}
     edges.difference_update(removed)
     edges.update(added)
-    verts = sorted({x for i in gone for x in tree.blocks[i].vertices})
-    h = len(verts)
-    index = {x: j for j, x in enumerate(verts)}
-    local_edges = {(index[u], index[v]) for u, v in edges}
-    for x, rim in enumerate(rims, h):
-        local_edges.update((index[c], x) for c in rim)
-    local = block_cut_tree(Graph(h + len(rims), frozenset(local_edges)))
+    for x, rim in enumerate(rims, n):
+        incident[x] = []
+        edges.update((c, x) for c in rim)
+    for e in edges:
+        u, v = e
+        incident[u].append(e)
+        incident[v].append(e)
+    blocks, cut = _blocks(incident, dict.fromkeys(incident, -1), min(verts))
     fresh = []
-    for b in local.blocks:
-        if max(b.vertices) >= h:
+    for b in blocks:
+        if max(b.vertices) >= n:
             if b.kind != BRIDGE:
                 return None
             continue
-        fresh.append(
-            Block(
-                b.kind,
-                tuple(verts[x] for x in b.vertices),
-                tuple((verts[u], verts[v]) for u, v in b.edges),
-            )
-        )
-    return verts, fresh, {verts[j] for j in local.cut_vertices if j < h}
+        fresh.append(b)
+    fresh.sort(key=_edges_of)
+    return verts, fresh, {x for x in cut if x < n}
 
 
 def is_cactus(g: Graph) -> bool:

@@ -109,6 +109,24 @@ def test_verify_validates_each_class_once(monkeypatch):
     assert not validated
 
 
+def test_end_triangle_flags_are_computed_only_for_the_pn_minimum(monkeypatch):
+    flagged = []
+    flag = extremal._end_triangle
+
+    def counted(n, rings):
+        flagged.append(rings)
+        return flag(n, rings)
+
+    monkeypatch.setattr(extremal, "_end_triangle", counted)
+    extremal_sweep(8, 2, "pn")
+    assert verify_theorems(8, 2, ("wiener", "subtrees")).all_passed
+    assert verify_theorems(8, 0).all_passed
+    assert not flagged
+    report = verify_theorems(8, 2, ("pn",))
+    assert report.all_passed
+    assert len(flagged) == len(census_module.census_with_rings(8, 2)[0])
+
+
 def test_evaluate_refuses_rings_that_do_not_match_the_graph():
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     for rings in (((0, 1), (1, 2)), ((0, 1, 2),)):  # an edge short; three edges, one a cycle

@@ -20,7 +20,14 @@ from cactuspaths.census import (
     random_cactus,
 )
 from cactuspaths.counting import count_paths, count_paths_between
-from cactuspaths.graphs import BRIDGE, DisconnectedError, Graph, block_cut_tree, validate_cactus
+from cactuspaths.graphs import (
+    BRIDGE,
+    OTHER,
+    DisconnectedError,
+    Graph,
+    block_cut_tree,
+    validate_cactus,
+)
 from cactuspaths.indices import cactus_wiener, wiener
 
 nx = pytest.importorskip("networkx")
@@ -69,7 +76,15 @@ def test_block_cut_tree_agrees_with_networkx():
         n = rng.randrange(1, 301)
         g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
         graphs.append(g.relabel(rng.sample(range(n), n)))
-    connected = 0
+    for _ in range(50):  # non-cacti deep enough for low points to climb far
+        n = rng.randrange(10, 301)
+        g = random_cactus(n, rng.randrange((n - 1) // 2 + 1), rng)
+        edges = set(g.relabel(rng.sample(range(n), n)).edges)
+        for _ in range(rng.randint(1, 5)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        graphs.append(Graph(n, frozenset(edges)))
+    connected = other = 0
     for g in graphs:
         h = to_nx(g)
         if not nx.is_connected(h):
@@ -85,7 +100,9 @@ def test_block_cut_tree_agrees_with_networkx():
         assert bridges == sorted(tuple(sorted(e)) for e in nx.bridges(h)), g
         for block, cuts in zip(tree.blocks, tree.incidence):
             assert cuts == tuple(sorted(tree.cut_vertices & block.vertex_set)), g
+        other += g.n > 7 and any(b.kind == OTHER for b in tree.blocks)
     assert connected > 1000
+    assert other > 40
     with pytest.raises(DisconnectedError):
         block_cut_tree(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
 

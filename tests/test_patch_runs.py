@@ -35,13 +35,13 @@ def test_a_branching_untouched_run_is_not_decomposed(monkeypatch, length, m):
     after = Graph(g.n, g.edges.difference(removed))
     profile = validate_cactus(g)
     sizes = []
-    original = graphs.block_cut_tree
+    original = graphs._blocks
 
-    def counted(h):
-        sizes.append(h.n)
-        return original(h)
+    def counted(incident, disc, root):
+        sizes.append(len(disc))
+        return original(incident, disc, root)
 
-    monkeypatch.setattr(graphs, "block_cut_tree", counted)
+    monkeypatch.setattr(graphs, "_blocks", counted)
     patched = patch_cactus(profile, after, removed, ())
     monkeypatch.undo()
     assert patched == validate_cactus(after)

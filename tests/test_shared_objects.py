@@ -1,9 +1,9 @@
 """Large inputs are decomposed on the graph's own objects: parse_edge_list
-shares one int per vertex label, and block_cut_tree walks and stacks g's own
-edge tuples without building g.adjacency.  The walk's order then follows
-the edge set's iteration order, which the returned tree must not show.
-CactusProfile.write_json streams the report from the tree and the graph
-without building it."""
+shares one int per vertex label, and block_cut_tree and patch_cactus walk
+and stack the graph's own edge tuples without building its adjacency.  The
+walk's order then follows the edge set's iteration order, which the
+returned tree must not show.  CactusProfile.write_json streams the report
+from the tree and the graph without building it."""
 
 import io
 import json
@@ -22,6 +22,7 @@ from cactuspaths.graphs import (
     to_edge_list_text,
     validate_cactus,
 )
+from cactuspaths.transforms import maximize_to_fixpoint, minimize_to_fixpoint
 
 
 def insertion_orders(g, rng):
@@ -68,6 +69,25 @@ def test_blocks_hold_the_graphs_own_edge_tuples():
         own = {id(e) for e in g.edges}
         for b in block_cut_tree(g).blocks:
             assert all(id(e) in own for e in b.edges)
+
+
+def test_patched_blocks_hold_the_new_graphs_own_edge_tuples():
+    """A patch decomposes its region on the new graph's own labels and edge
+    tuples, so every block it makes holds them, as validation's do."""
+    rng = random.Random(24)
+    steps = 0
+    for _ in range(10):
+        g = relabelled(random_cactus(60, 15, rng), rng)
+        for driver in (maximize_to_fixpoint, minimize_to_fixpoint):
+            for step in driver(g)[1]:
+                patched = patch_cactus(
+                    validate_cactus(step.before), step.after, step.removed, step.added
+                )
+                own = {id(e) for e in step.after.edges}
+                for b in patched.tree.blocks:
+                    assert all(id(e) in own for e in b.edges)
+                steps += 1
+    assert steps > 500
 
 
 def test_validation_and_patching_build_no_adjacency():

@@ -24,18 +24,18 @@ CHAINS = {
 @pytest.mark.parametrize("rule", sorted(CHAINS))
 @pytest.mark.parametrize("m", [5, 40])
 def test_shrink_and_balance_decompose_a_bounded_graph(monkeypatch, rule, m):
-    """Each step hands block_cut_tree one graph, whose vertices beyond those
+    """Each step hands the block walk one graph, whose vertices beyond those
     of the cycles the step edits number at most `extra`, for every m: the
     blocks between the two cycles are not decomposed."""
     sizes = []
-    original = graphs.block_cut_tree
+    original = graphs._blocks
 
-    def counted(g):
-        sizes.append(g.n)
-        return original(g)
+    def counted(incident, disc, root):
+        sizes.append(len(disc))
+        return original(incident, disc, root)
 
     shape, extra = CHAINS[rule]
-    monkeypatch.setattr(graphs, "block_cut_tree", counted)
+    monkeypatch.setattr(graphs, "_blocks", counted)
     g = cycle_chain(shape(m))
     _, history = maximize_to_fixpoint(g)
     monkeypatch.undo()
