@@ -416,15 +416,14 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 
 def _blocks(incident, disc, root: int) -> tuple[list[Block], set[int]]:
     """The blocks, in the order they close, and the cut vertices of the
-    graph whose edges at each vertex v are incident[v], as sorted pairs.
-    disc holds -1 at every vertex (a list on 0..n-1, or a dict) and gets
-    each discovery time.
+    graph with the edges incident[v] (sorted pairs) at each vertex v; disc
+    holds -1 at every vertex (a list on 0..n-1, or a dict).
 
-    A Hopcroft-Tarjan DFS from root with an edge stack.  A frame of its
-    stack holds a vertex, its parent, the iterator over its unread incident
-    edges, the edge-stack height when its tree edge was pushed and its low
-    point, so only disc and incident are kept per vertex.  Raises
-    DisconnectedError if the walk misses a vertex.
+    A Hopcroft-Tarjan DFS from root with an edge stack.  Each frame of its
+    stack, five slots of one flat list, holds a vertex, its parent, an
+    iterator over its unread edges, the edge-stack height at its tree edge
+    and its low point; only disc and incident are per vertex.  Raises
+    DisconnectedError if it misses a vertex.
     """
     edge_stack: list[tuple[int, int]] = []  # the graph's own edge tuples
     blocks: list[Block] = []
@@ -432,10 +431,9 @@ def _blocks(incident, disc, root: int) -> tuple[list[Block], set[int]]:
     root_children = 0
     disc[root] = 0
     timer = 1
-    stack = [[root, -1, iter(incident[root]), 0, 0]]  # the DFS path: v, pv, edges, base, low
+    stack = [root, -1, iter(incident[root]), 0, 0]  # the DFS path: v, pv, edges, base, low, ...
     while stack:
-        frame = stack[-1]
-        v, pv, edges, base, low = frame
+        v, pv, edges, base, low = stack[-5:]
         dv = disc[v]
         for e in edges:
             a, u = e
@@ -443,9 +441,9 @@ def _blocks(incident, disc, root: int) -> tuple[list[Block], set[int]]:
                 u = a
             du = disc[u]
             if du == -1:  # tree edge: descend into u
-                frame[4] = low
+                stack[-1] = low
                 disc[u] = timer
-                stack.append([u, v, iter(incident[u]), len(edge_stack), timer])
+                stack += u, v, iter(incident[u]), len(edge_stack), timer
                 timer += 1
                 edge_stack.append(e)
                 break
@@ -454,12 +452,11 @@ def _blocks(incident, disc, root: int) -> tuple[list[Block], set[int]]:
                 if du < low:
                     low = du
         else:  # v is finished
-            stack.pop()
+            del stack[-5:]
             if not stack:
-                continue
-            up = stack[-1]
-            if low < up[4]:
-                up[4] = low
+                break
+            if low < stack[-1]:  # pv's low
+                stack[-1] = low
             if low >= disc[pv]:  # the tree edge (pv, v) closes a block
                 blocks.append(_close_block(edge_stack[base:], pv))
                 del edge_stack[base:]
@@ -685,10 +682,8 @@ def patch_cactus(
     on a cycle of H' (an added edge closes a cycle through the run), H is
     decomposed whole instead.
 
-    H' keeps the graph's labels and the edge tuples of the old blocks and
-    of `added`, with the star centres numbered from after.n up, and
-    block_cut_tree's walk decomposes it, so when `after` is built from
-    those tuples, as the rewrites build it, every block holds after's own.
+    H' keeps the graph's labels, with the star centres numbered from
+    after.n up, and block_cut_tree's walk decomposes it as it is.
 
     Only a vertex of H' can change its cut status, and only a block of H'
     its incidence; the new profile reads the rest off the new tree.
@@ -781,9 +776,10 @@ def _local_blocks(tree: BlockCutTree, gone, rims, n: int, removed, added):
     edge order, and its real cut vertices; None if a star edge lies on a
     cycle.
 
-    H' keeps the graph's own labels and edge tuples, and the star centres
-    are n, n+1, ..., above every real vertex, so a block holding a vertex
-    >= n is a star block."""
+    H' keeps the graph's own labels and the edge tuples of the blocks and
+    of `added`, so its blocks hold after's own when after is built from
+    them.  The star centres are n, n+1, ..., above every real vertex, so a
+    block holding a vertex >= n is a star block."""
     verts = {x for i in gone for x in tree.blocks[i].vertices}
     incident: dict[int, list[tuple[int, int]]] = {x: [] for x in verts}
     edges = {e for i in gone for e in tree.blocks[i].edges}
