@@ -9,9 +9,9 @@ hold those tuples.  It makes each block when it closes it and keeps its DFS
 state on its stack, holding only discovery times and incident edges per
 vertex.  CactusProfile.write_json writes the report straight from the tree
 and the graph's sorted edges, a chunk at a time, so no report is built:
-`profile --in` on a 50,001-vertex triangle chain peaks at 47 MiB of RSS,
-against 57 MiB when it encoded the report as lists and dicts (173 -> 136
-MiB at 200,001 vertices).
+encoding the report as lists and dicts took `profile --in` on a
+50,001-vertex triangle chain from 47 to 57 MiB of RSS (136 to 173 MiB at
+200,001 vertices).
 """
 
 from __future__ import annotations
@@ -793,14 +793,9 @@ def _local_blocks(tree: BlockCutTree, gone, rims, n: int, removed, added):
         incident[u].append(e)
         incident[v].append(e)
     blocks, cut = _blocks(incident, dict.fromkeys(incident, -1), min(verts))
-    fresh = []
-    for b in blocks:
-        if max(b.vertices) >= n:
-            if b.kind != BRIDGE:
-                return None
-            continue
-        fresh.append(b)
-    fresh.sort(key=_edges_of)
+    if any(b.kind != BRIDGE for b in blocks if max(b.vertices) >= n):
+        return None
+    fresh = sorted((b for b in blocks if max(b.vertices) < n), key=_edges_of)
     return verts, fresh, {x for x in cut if x < n}
 
 
