@@ -518,11 +518,7 @@ def random_cactus(n: int, k: int, rng: random.Random) -> Graph:
         else:
             ring = [at] + list(range(size, size + op - 1))
             size += op - 1
-            for i in range(op - 1):
-                a, b = ring[i], ring[i + 1]
-                edges.add((a, b) if a < b else (b, a))
-            a, b = ring[0], ring[-1]
-            edges.add((a, b) if a < b else (b, a))
+            edges.update((a, b) if a < b else (b, a) for a, b in zip(ring, ring[1:] + ring[:1]))
     g = Graph(n, frozenset(edges))
     profile = validate_cactus(g)
     assert profile.k == k

@@ -48,16 +48,11 @@ def cycle_chain(lengths: list[int]) -> Graph:
     if any(l < 3 for l in lengths):
         raise ValueError("every cycle length must be at least 3")
     edges: list[tuple[int, int]] = []
-    first = lengths[0]
-    edges.extend((i, i + 1) for i in range(first - 1))
-    edges.append((0, first - 1))
-    shared = first - 1
-    nxt = first
-    for length in lengths[1:]:
+    shared, nxt = 0, 1
+    for length in lengths:
         ring = [shared] + list(range(nxt, nxt + length - 1))
         nxt += length - 1
-        edges.extend((ring[i], ring[i + 1]) for i in range(length - 1))
-        edges.append((ring[0], ring[-1]))
+        edges.extend(zip(ring, ring[1:] + ring[:1]))
         shared = ring[-1]
     return Graph.from_edges(nxt, edges)
 
@@ -155,7 +150,18 @@ class FamilySpec:
     attach: tuple[int, ...] = ()
 
 
-FAMILY_NAMES = ("path", "cycle", "star", "chain", "ptc", "pfg", "bsg", "end_triangle")
+_BUILDERS = {
+    "path": lambda s: path_graph(s.n),
+    "cycle": lambda s: cycle_graph(s.n),
+    "star": lambda s: star_graph(s.n),
+    "chain": lambda s: cycle_chain(list(s.lengths)),
+    "ptc": lambda s: pseudo_triangle_chain(s.n, _need(s.k, "k")),
+    "pfg": lambda s: pseudo_friendship(s.n, _need(s.k, "k")),
+    "bsg": lambda s: balanced_saw(s.n, _need(s.k, "k")),
+    "end_triangle": lambda s: end_triangle_cactus(s.tree_n, list(s.tree_edges), list(s.attach)),
+}
+
+FAMILY_NAMES = tuple(_BUILDERS)
 
 
 MAX_FAMILY_VERTICES = 10**6
@@ -166,35 +172,21 @@ def build_family(spec: FamilySpec) -> Graph:
     worked out from the spec alone, is over MAX_FAMILY_VERTICES, so an
     oversized request allocates nothing."""
     name = spec.family
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown family {name!r}; choose one of {FAMILY_NAMES}")
     if name == "chain":
         if not spec.lengths:
             raise ValueError("chain needs --lengths")
         size = sum(length - 1 for length in spec.lengths) + 1
     elif name == "end_triangle":
         size = _need(spec.tree_n, "tree_n") + 2 * len(spec.attach)
-    elif name in FAMILY_NAMES:
-        size = _need(spec.n, "n")
     else:
-        raise ValueError(f"unknown family {name!r}; choose one of {FAMILY_NAMES}")
+        size = _need(spec.n, "n")
     if size > MAX_FAMILY_VERTICES:
         raise ValueError(
             f"{name} family with {size} vertices is over the limit of {MAX_FAMILY_VERTICES}"
         )
-    if name == "path":
-        return path_graph(spec.n)
-    if name == "cycle":
-        return cycle_graph(spec.n)
-    if name == "star":
-        return star_graph(spec.n)
-    if name == "chain":
-        return cycle_chain(list(spec.lengths))
-    if name == "ptc":
-        return pseudo_triangle_chain(spec.n, _need(spec.k, "k"))
-    if name == "pfg":
-        return pseudo_friendship(spec.n, _need(spec.k, "k"))
-    if name == "bsg":
-        return balanced_saw(spec.n, _need(spec.k, "k"))
-    return end_triangle_cactus(spec.tree_n, list(spec.tree_edges), list(spec.attach))
+    return _BUILDERS[name](spec)
 
 
 def _need(value, flag: str):

@@ -159,6 +159,22 @@ def _reads_as_labels(text: str) -> bool:
     return text.isascii() and "_" not in text and "+" not in text
 
 
+def _pair(line: str, plain: bool, what: str, form: str) -> tuple[int, int]:
+    """The two integers of line, which is the what ("header" or "edge line")
+    of an edge list, refused in terms of its form ("'n m'" or "'u v'");
+    plain says that the whole text reads as labels."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise MalformedLineError(f"{what} must be {form}, got {line!r}")
+    a, b = parts
+    if len(a) <= _MAX_INT_CHARS and len(b) <= _MAX_INT_CHARS and (plain or _reads_as_labels(line)):
+        try:
+            return int(a), int(b)
+        except ValueError:
+            pass
+    raise MalformedLineError(f"{what} must be two integers, got {line!r}")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" header plus m lines of "u v" into a Graph.
 
@@ -171,36 +187,15 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise MalformedLineError("empty input, expected header line 'n m'")
     plain = _reads_as_labels(text)  # one scan of the text spares one per line
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MalformedLineError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        if len(header[0]) > _MAX_INT_CHARS or len(header[1]) > _MAX_INT_CHARS:
-            raise ValueError
-        if not (plain or _reads_as_labels(lines[0])):
-            raise ValueError
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise MalformedLineError(f"header must be two integers, got {lines[0]!r}") from None
+    n, m = _pair(lines[0], plain, "header", "'n m'")
     if n < 0 or m < 0:
         raise MalformedLineError(f"counts must be non-negative, got n={n} m={m}")
     if len(lines) - 1 != m:
         raise MalformedLineError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges: set[tuple[int, int]] = set()
     label = {}.setdefault  # each label seen, to its one shared int
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLineError(f"edge line must be 'u v', got {line!r}")
-        a, b = parts
-        try:
-            if len(a) > _MAX_INT_CHARS or len(b) > _MAX_INT_CHARS:
-                raise ValueError
-            if not (plain or _reads_as_labels(line)):
-                raise ValueError
-            u, v = int(a), int(b)
-        except ValueError:
-            raise MalformedLineError(f"edge line must be two integers, got {line!r}") from None
+    for line in islice(lines, 1, None):
+        u, v = _pair(line, plain, "edge line", "'u v'")
         if not (0 <= u < n and 0 <= v < n):
             raise VertexRangeError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:

@@ -255,6 +255,18 @@ def _require_chain(profile: CactusProfile) -> None:
         raise TransformError("this rewrite needs a bridgeless cactus chain")
 
 
+def _transfer(profile: CactusProfile, source, target) -> tuple[int, int, int, int, int]:
+    """The vertex move of shrink and balance, as (u, v, w, a, b): u is the
+    least vertex of ring source on no other cycle, with ring neighbours v
+    and w, and it goes between the least such vertex a of ring target and
+    a's lesser ring neighbour b."""
+    shared = profile.intersection_vertices
+    u = min(x for x in source.vertices if x not in shared)
+    v, w = _ring_neighbors(source, u)
+    a = min(x for x in target.vertices if x not in shared)
+    return u, v, w, a, min(_ring_neighbors(target, a))
+
+
 def shrink_interior_cycle(g: Graph) -> TransformResult:
     """On a cactus chain, pull a non-intersection vertex u out of an interior
     cycle of length >= 4 and splice it into the end cycle on the smaller
@@ -269,10 +281,7 @@ def _shrink_interior_cycle(profile: CactusProfile) -> _Move:
     if not targets:
         raise TransformError("every interior cycle is already a triangle")
     c_idx = targets[0]
-    blk = blocks[c_idx]
-    ring = blk.vertex_set
-    u = min(v for v in ring if v not in profile.intersection_vertices)
-    v, w = _ring_neighbors(blk, u)
+    ring = blocks[c_idx].vertex_set
 
     # a vertex off the ring is on the side of the cut vertex its node hangs by
     label = _neighbour_labels(profile.tree.rooted, c_idx)
@@ -283,8 +292,7 @@ def _shrink_interior_cycle(profile: CactusProfile) -> _Move:
     assert len(sides) == 2, "an interior cycle splits a chain into two sides"
     side = min(sides, key=lambda y: (len(sides[y]), sides[y][0]))
     end_block = next(blocks[i] for i in profile.end_cycles if label[i] == side)
-    a = min(x for x in end_block.vertices if x not in profile.intersection_vertices)
-    b = min(_ring_neighbors(end_block, a))
+    u, v, w, a, b = _transfer(profile, blocks[c_idx], end_block)
     return [(u, v), (u, w), (a, b)], [(u, a), (u, b), (v, w)]
 
 
@@ -305,10 +313,7 @@ def _balance_end_cycles(profile: CactusProfile) -> _Move:
     big, small = sorted((e1, e2), key=lambda b: (-len(b), b.vertices))
     if len(big) - len(small) <= 1:
         raise TransformError("end cycles already differ by at most one")
-    u = min(x for x in big.vertex_set if x not in profile.intersection_vertices)
-    v, w = _ring_neighbors(big, u)
-    a = min(x for x in small.vertex_set if x not in profile.intersection_vertices)
-    b = min(_ring_neighbors(small, a))
+    u, v, w, a, b = _transfer(profile, big, small)
     return [(u, v), (u, w), (a, b)], [(v, w), (u, a), (u, b)]
 
 

@@ -105,20 +105,26 @@ def test_family_missing_parameter(capsys):
 
 
 def test_family_end_triangle(capsys):
-    code, out, _ = run(
-        capsys,
-        [
-            "family",
-            "end_triangle",
-            "--tree-n",
-            "4",
-            "--tree-edges",
-            "0-1,0-2,0-3",
-            "--attach",
-            "0,0,0",
-        ],
-    )
+    def family(tree_edges: str):
+        return run(
+            capsys,
+            [
+                "family",
+                "end_triangle",
+                "--tree-n",
+                "4",
+                "--tree-edges",
+                tree_edges,
+                "--attach",
+                "0,0,0",
+            ],
+        )
+
+    plain = family("0-1,0-2,0-3")
+    code, out, _ = plain
     assert code == EXIT_OK
+    # empty parts of --tree-edges are skipped
+    assert family("0-1,,0-2,0-3,") == plain
     from cactuspaths.census import canonical_key
     from cactuspaths.families import pseudo_friendship
     from cactuspaths.graphs import parse_edge_list
@@ -298,6 +304,8 @@ K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
             "8 13\n" + K4 + "3 4\n4 5\n4 6\n4 7\n5 6\n5 7\n6 7\n",
             "block on vertices (0, 1, 2, 3) is neither an edge nor a cycle",
         ),
+        ("-1 0\n", "counts must be non-negative, got n=-1 m=0"),
+        ("3 -1\n", "counts must be non-negative, got n=3 m=-1"),
     ],
 )
 def test_profile_errors_write_nothing_to_stdout(capsys, tmp_path, text, message):
