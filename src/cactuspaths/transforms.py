@@ -33,6 +33,13 @@ blocks that the step's edges touch and stands a star in for each connected
 run of untouched blocks between them (so shrink and balance decompose their
 two cycles, not the chain between them), and counts the new pn once.
 
+A driver logs each step as a move, (rule, pn after, edges removed, edges
+added), and drops the step's graph at the next step.  It returns a
+read-only sequence of TransformResult, rebuilt on access from its input
+graph and the move log, so a run holds O(n + steps) memory, not a graph
+per step.  history[i] replays i steps, so read a whole history by
+iterating it.
+
 chain_straighten finds its branch node from per-subtree counts of branch
 nodes in one pass over tree.rooted, and one more pass labels each node with
 the neighbour of a node x through which it hangs: chain_straighten groups
@@ -42,7 +49,10 @@ sorts the vertices off its cycle into its two sides by it.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 from .counting import cactus_path_count
 from .graphs import (
@@ -93,13 +103,13 @@ class TransformResult:
 
 # a rule's move: the edges it removes and the edges it adds
 _Move = tuple[list[tuple[int, int]], list[tuple[int, int]]]
+# the edges a step removed and added, each normalized
+_Edges = tuple[tuple[int, int], ...]
 
 
-def _step(
-    rule: str, profile: CactusProfile, pn: int, move: _Move
-) -> tuple[TransformResult, CactusProfile, int]:
-    """Apply move to the graph of profile, whose pn is pn: the step, and
-    the profile and pn of the graph it builds."""
+def _step(profile: CactusProfile, move: _Move) -> tuple[CactusProfile, int, _Edges, _Edges]:
+    """Apply move to the graph of profile: the profile and pn of the graph
+    it builds, and the edges it removed and added."""
     g = profile.graph
     removed, added = (tuple(_normalize_edge(u, v) for u, v in es) for es in move)
     edges = set(g.edges)
@@ -111,26 +121,17 @@ def _step(
         if e in edges:
             raise ValueError(f"edge {e} already present")
         edges.add(e)
-    after = Graph(g.n, frozenset(edges))
-    profile = patch_cactus(profile, after, removed, added)
-    pn_after = cactus_path_count(profile)
-    step = TransformResult(
-        rule=rule,
-        before=g,
-        after=after,
-        pn_before=pn,
-        pn_after=pn_after,
-        removed=removed,
-        added=added,
-    )
-    return step, profile, pn_after
+    profile = patch_cactus(profile, Graph(g.n, frozenset(edges)), removed, added)
+    return profile, cactus_path_count(profile), removed, added
 
 
 def _apply(rule: str, g: Graph) -> TransformResult:
     """The step of the named rule on g, outside a driver."""
     profile = validate_cactus(g)
     move = _MOVES[rule](profile)
-    return _step(rule, profile, cactus_path_count(profile), move)[0]
+    pn = cactus_path_count(profile)
+    after, pn_after, removed, added = _step(profile, move)
+    return TransformResult(rule, g, after.graph, pn, pn_after, removed, added)
 
 
 def _ring_neighbors(block, u: int) -> tuple[int, int]:
@@ -386,17 +387,68 @@ _INCREASING = ("bridge-slide", "chain-straighten", "shrink", "balance")
 _DECREASING = ("to-triangle", "split")
 
 
+class _History(Sequence[TransformResult]):
+    """A driver's steps as a read-only sequence of TransformResult, rebuilt
+    on access from the input graph, its pn and the move log: one
+    (rule, pn_after, removed, added) per step.  Iterating replays the log
+    forward on one edge set, so each step's before is the previous step's
+    after and step 0's before is the input graph; history[i] replays i
+    steps, so read a whole history by iterating it."""
+
+    __slots__ = ("_graph", "_pn", "_log")
+
+    def __init__(
+        self, g: Graph, pn: int, log: list[tuple[str, int, _Edges, _Edges]]
+    ) -> None:
+        self._graph = g
+        self._pn = pn
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def __iter__(self) -> Iterator[TransformResult]:
+        before, pn = self._graph, self._pn
+        edges = set(before.edges)
+        for rule, pn_after, removed, added in self._log:
+            edges.difference_update(removed)
+            edges.update(added)
+            after = Graph(before.n, frozenset(edges))
+            yield TransformResult(rule, before, after, pn, pn_after, removed, added)
+            before, pn = after, pn_after
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            wanted = range(*i.indices(len(self)))
+            if not wanted:
+                return []
+            steps = islice(enumerate(self), max(wanted) + 1)
+            picked = {j: step for j, step in steps if j in wanted}
+            return [picked[j] for j in wanted]
+        j = operator.index(i)
+        if j < 0:
+            j += len(self)
+        if not 0 <= j < len(self):
+            raise IndexError("history index out of range")
+        return next(islice(self, j, None))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (_History, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 def _fixpoint(
     g: Graph, cap: int | None, rules: tuple[str, ...]
-) -> tuple[Graph, list[TransformResult]]:
+) -> tuple[Graph, Sequence[TransformResult]]:
     """Apply the first of rules whose move does not raise TransformError
     until every one raises.  Only g is validated and counted from scratch;
     each step patches the profile of the graph it builds and counts its pn
-    once."""
+    once.  The run holds g, the current profile and the move log."""
     profile = validate_cactus(g)
-    pn = cactus_path_count(profile)
+    pn = pn_in = cactus_path_count(profile)
     limit = cap if cap is not None else g.n + profile.k + g.m
-    history: list[TransformResult] = []
+    log: list[tuple[str, int, _Edges, _Edges]] = []
     while True:
         for rule in rules:
             try:
@@ -405,25 +457,31 @@ def _fixpoint(
                 continue
             break
         else:
-            return profile.graph, history
-        step, profile, pn = _step(rule, profile, pn, move)
-        history.append(step)
-        if len(history) > limit:
+            return profile.graph, _History(g, pn_in, log)
+        profile, pn, removed, added = _step(profile, move)
+        log.append((rule, pn, removed, added))
+        if len(log) > limit:
             raise FixpointError(f"no fixpoint within {limit} rewrites")
 
 
 def maximize_to_fixpoint(
     g: Graph, cap: int | None = None
-) -> tuple[Graph, list[TransformResult]]:
+) -> tuple[Graph, Sequence[TransformResult]]:
     """Apply the pn-increasing rewrites until none fires.  For k >= 2 the
     fixpoint is the balanced pseudo triangle chain; for k = 1 it is the
-    cycle; trees admit no rewrite at all."""
+    cycle; trees admit no rewrite at all.
+
+    Returns the fixpoint and the history: a read-only sequence of the
+    steps' TransformResults, rebuilt on access from g and a move log, so a
+    run holds O(n + steps) memory.  history[i] replays i steps, so read a
+    whole history by iterating it."""
     return _fixpoint(g, cap, _INCREASING)
 
 
 def minimize_to_fixpoint(
     g: Graph, cap: int | None = None
-) -> tuple[Graph, list[TransformResult]]:
+) -> tuple[Graph, Sequence[TransformResult]]:
     """Apply the pn-decreasing rewrites until every cycle is an end
-    triangle."""
+    triangle.  Returns the fixpoint and a history as maximize_to_fixpoint
+    does."""
     return _fixpoint(g, cap, _DECREASING)

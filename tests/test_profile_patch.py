@@ -79,7 +79,7 @@ def test_every_driver_step_patches_what_validation_builds(monkeypatch):
             _, history = driver(g)
             assert len(oracles) == len(history)
             for step, oracle in zip(history, oracles):
-                assert oracle.graph is step.after
+                assert oracle.graph == step.after
                 assert step.pn_after == cactus_path_count(oracle)
 
 

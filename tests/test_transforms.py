@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -370,6 +371,83 @@ def test_drivers_in_threads_match_sequential_runs():
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(lambda run: run[0](run[1]), DRIVER_RUNS))
     assert threaded == sequential
+
+
+HISTORY_RUNS = DRIVER_RUNS + [
+    (driver, g)
+    for n in range(1, 8)
+    for k in range((n - 1) // 2 + 1)
+    for g in enumerate_cacti(n, k)
+    for driver in (maximize_to_fixpoint, minimize_to_fixpoint)
+]
+
+
+def test_histories_index_and_slice_as_the_list_of_their_steps():
+    slices = [
+        slice(None),
+        slice(1, None),
+        slice(None, -1),
+        slice(-3, None),
+        slice(None, None, 2),
+        slice(None, None, -1),
+        slice(5, 2),
+        slice(2, 1000),
+    ]
+    for driver, g in HISTORY_RUNS:
+        history = driver(g)[1]
+        steps = list(history)
+        assert list(history) == steps  # a second replay rebuilds equal steps
+        assert len(history) == len(steps)
+        assert history == steps and steps == history
+        for i, step in enumerate(steps):
+            assert history[i] == step
+            assert history[i - len(history)] == step
+        for s in slices:
+            assert history[s] == steps[s]
+        for i in (len(history), -len(history) - 1):
+            with pytest.raises(IndexError):
+                history[i]
+
+
+def test_histories_chain_their_graphs():
+    """Step 0 starts at the input graph, each step starts at the graph the
+    one before built, which iterating hands on as the same object, and the
+    last step builds the graph a driver returns."""
+    for driver, g in HISTORY_RUNS:
+        final, history = driver(g)
+        steps = list(history)
+        if not steps:
+            assert final == g
+            continue
+        assert history[0].before is g and steps[0].before is g
+        for i, (step, next_step) in enumerate(zip(steps, steps[1:])):
+            assert next_step.before is step.after
+            assert history[i].after == history[i + 1].before
+        assert steps[-1].after == final
+
+
+def test_histories_of_other_runs_differ():
+    runs = [driver(g)[1] for driver, g in DRIVER_RUNS]
+    nonempty = [h for h in runs if h]
+    assert len(nonempty) > 20
+    for a, b in zip(nonempty, nonempty[1:]):
+        assert a != b and list(a) != b
+
+
+def test_a_held_history_holds_no_graph_per_step():
+    """A driver keeps each step as a move, not as two graphs: the 298 steps
+    on (300, 60) hold 0.14 MiB under tracemalloc, where a list of steps that
+    each keep their graphs held 4.9 MiB."""
+    g = random_cactus(300, 60, random.Random(0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        history = maximize_to_fixpoint(g)[1]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(history) == 298
+    assert held < 2**19  # a tenth of what the graphs took
 
 
 # each driver's rules in the order it tries them: the module docstring's table
