@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cactuspaths.census import census_with_rings
+from cactuspaths.census import census_rows, row_rings
 from cactuspaths.counting import ring_path_count
 
 
@@ -33,8 +33,7 @@ def main() -> int:
     print(f"{'n':>3} {'k':>3} {'classes':>8} {'pn min':>8} {'pn max':>8}")
     for n in range(1, args.n_max + 1):
         for k in range((n - 1) // 2 + 1):
-            _, rings = census_with_rings(n, k)
-            values = [ring_path_count(n, r) for r in rings]
+            values = [ring_path_count(n, row_rings(n, row)) for row in census_rows(n, k)]
             print(f"{n:>3} {k:>3} {len(values):>8} {min(values):>8} {max(values):>8}")
     return 0
 

@@ -16,19 +16,25 @@ candidate is coded from that peel by recoding only the route from the
 attachment vertex up to the centre (_attach); the centre moves, one node
 toward the new block, only when that block hangs at a non-cut vertex of a
 deepest leaf block.  No candidate is built as a Graph, and _code stays the
-oracle that _attach must equal string for string.  Every census is grown,
-and cached once, in the order its classes are found;
-census_in_generation_order hands it out as it is, for callers (the theorem
-checks) whose results depend only on the set of classes, and
-enumerate_cacti sorts the census it is asked for by canonical_key, which
-costs one key per class of that census only.  canonical_key stays the
+oracle that _attach must equal string for string.  canonical_key stays the
 oracle for the code.
 
-Beside each class the cache keeps its blocks as hung rings (graphs.Rings,
-census_with_rings), so no census class needs a block-cut tree: the sweeps
-and the theorem checks hand them as they are to the ring passes
-(counting.ring_path_count, indices.ring_wiener, indices.ring_subtree_count).
-_peel, _code and _attach ignore the rings' order.
+Every census is grown, and cached once, in the order its classes are found,
+each class as one bytes row (census_rows): its blocks' (top, length)
+pairs, newest block first.  A new block hung at vertex v of a parent on h
+vertices is the ring (v, h, ..., n - 1), so a row decodes to its class's
+blocks as hung rings (graphs.Rings, row_rings), each block's vertices
+after its top counting down from n - 1.  The sweeps and the theorem checks
+read the rows and hand the decoded rings to the ring passes
+(counting.ring_path_count, indices.ring_wiener, indices.ring_subtree_count),
+so no census class needs a Graph or a block-cut tree.  _peel, _code and
+_attach ignore the rings' order.
+
+Graphs are built only on demand (row_graph), from one table of edge tuples
+per vertex count.  census_in_generation_order builds the graphs of the
+census it is asked for, once, and keeps them, for callers whose results
+depend only on the set of classes; enumerate_cacti sorts them by
+canonical_key, which costs one key per class of that census only.
 """
 
 from __future__ import annotations
@@ -215,10 +221,13 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 
 
 Census = tuple[tuple[Graph, ...], tuple[Rings, ...]]
-# (n, k) -> the classes in the order _grow finds them, and each one's rings;
-# a class's representative depends on the order of its parents, so no
-# cached census is ever reordered
-_cactus_census: dict[tuple[int, int], Census] = {}
+# (n, k) -> one row per class, in the order _grow finds them; a class's
+# representative depends on the order of its parents, so no cached census
+# is ever reordered
+_cactus_census: dict[tuple[int, int], tuple[bytes, ...]] = {}
+# (n, k) -> the graphs of that census's rows, for the censuses asked for as
+# graphs only
+_census_graphs: dict[tuple[int, int], tuple[Graph, ...]] = {}
 
 
 def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
@@ -234,14 +243,28 @@ def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ..
 def census_in_generation_order(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
     """The classes of enumerate_cacti(n, k, guard), the same Graph objects,
     in the order they are generated and with no canonical_key computed; the
-    order does not depend on what was called before.  The guard binds as in
-    enumerate_cacti."""
-    return census_with_rings(n, k, guard)[0]
+    order does not depend on what was called before.  The graphs are built
+    from census_rows(n, k, guard) the first time and kept.  The guard binds
+    as in enumerate_cacti."""
+    rows = census_rows(n, k, guard)
+    if (n, k) not in _census_graphs:
+        _census_graphs[(n, k)] = tuple(row_graph(n, row) for row in rows)
+    return _census_graphs[(n, k)]
 
 
 def census_with_rings(n: int, k: int, guard: int | None = None) -> Census:
     """census_in_generation_order(n, k, guard), and beside it each class's
-    blocks as hung Rings, ready for the ring passes."""
+    blocks as hung Rings, ready for the ring passes, decoded from its row
+    on each call."""
+    graphs = census_in_generation_order(n, k, guard)
+    return graphs, tuple(row_rings(n, row) for row in _cactus_census[(n, k)])
+
+
+def census_rows(n: int, k: int, guard: int | None = None) -> tuple[bytes, ...]:
+    """The classes of census_in_generation_order(n, k, guard), in the same
+    order, each as its row, with no graph built: the top vertex and the
+    length of each block, one byte each, newest block first.  row_rings and
+    row_graph decode a row.  The guard binds as in enumerate_cacti."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if k < 0 or 2 * k + 1 > n:
@@ -255,7 +278,7 @@ def census_with_rings(n: int, k: int, guard: int | None = None) -> Census:
             key = (size, rank)
             if key not in _cactus_census:
                 _cactus_census[key] = _grow(size, rank, limit)
-            if len(_cactus_census[key][0]) > limit:
+            if len(_cactus_census[key]) > limit:
                 raise _over_guard(size, rank, limit)
     return _cactus_census[(n, k)]
 
@@ -264,33 +287,87 @@ def _over_guard(n: int, k: int, limit: int) -> CensusSizeError:
     return CensusSizeError(f"census for n={n}, k={k} has more classes than the guard {limit}")
 
 
-def _grow(n: int, k: int, limit: int) -> Census:
-    """The (n, k) census and each class's rings, from the cached censuses it
-    is grown from: every cactus is a smaller one with a pendant vertex or a
-    cycle attached at one vertex.  Each parent is peeled once, and each of
+def _push(top: int, length: int, row: bytes) -> bytes:
+    """row with a block of length vertices hung at top put first.  A row
+    holds each label and length in one byte, so one of 256 or more raises
+    ValueError rather than wrap."""
+    if not (0 <= top < 256 and 2 <= length < 256):
+        raise ValueError(
+            f"a census row holds vertex labels and block lengths below 256, "
+            f"not top {top} and length {length}"
+        )
+    return bytes((top, length)) + row
+
+
+def row_rings(n: int, row: bytes) -> Rings:
+    """The blocks of the class on n vertices whose census row is row, as
+    hung Rings: each block is its top vertex followed by the run of vertices
+    it added, the runs counting down from n - 1, newest block first."""
+    labels = _tables(n)[0]
+    rings = []
+    hi = n
+    for top, length in zip(row[::2], row[1::2]):
+        lo = hi - length + 1
+        rings.append((top,) + labels[lo:hi])
+        hi = lo
+    return tuple(rings)
+
+
+_Edges = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=None)
+def _tables(n: int) -> tuple[tuple[int, ...], tuple[_Edges, ...], _Edges]:
+    """What decoding rows on n vertices shares: the labels 0..n-1, whose
+    slices are the blocks' runs; pair[v][u], the edge (u, v) for u < v < n;
+    and path[u] = pair[u + 1][u], whose slices are the runs' edges.  Every
+    graph that row_graph builds on n vertices holds these edge tuples."""
+    pair = tuple(tuple((u, v) for u in range(v)) for v in range(n))
+    return tuple(range(n)), pair, tuple(edges[-1] for edges in pair[1:])
+
+
+def row_graph(n: int, row: bytes) -> Graph:
+    """The graph of the class on n vertices whose census row is row, the
+    edges of row_rings(n, row), each a shared tuple of _tables(n)."""
+    _, pair, path = _tables(n)
+    edges = []
+    hi = n
+    for top, length in zip(row[::2], row[1::2]):
+        lo = hi - length + 1
+        edges.append(pair[lo][top])
+        edges += path[lo : hi - 1]
+        if length > 2:  # a cycle closes back to its top
+            edges.append(pair[hi - 1][top])
+        hi = lo
+    return Graph(n, frozenset(edges))
+
+
+def _grow(n: int, k: int, limit: int) -> tuple[bytes, ...]:
+    """The (n, k) census's rows, from the cached censuses it is grown from:
+    every cactus is a smaller one with a pendant vertex or a cycle attached
+    at one vertex.  Each parent's row is decoded and peeled once, and each of
     its candidates coded from that peel (_attach).  The first candidate with
     a new code represents its class, and the classes keep the order they are
     found in.  The new block is a leaf whose top is its attachment vertex,
-    so putting it first keeps the rings hung."""
+    so putting it first in the row keeps the decoded rings hung.  No graph
+    is built."""
     if n == 1:
-        return (Graph(1, frozenset()),), ((),)
-    seen: dict[str, tuple[frozenset[tuple[int, int]], Rings]] = {}  # code -> first candidate
+        return (b"",)
+    seen: dict[str, bytes] = {}  # code -> the first candidate's row
     # a pendant vertex is a ring of length 2; a parent (n', k') with
     # 2k' + 1 > n' has no census: nothing to grow
     for length in range(2, n + 1):
-        parents = _cactus_census.get((n - length + 1, k if length == 2 else k - 1), ((), ()))
-        for h, rings in zip(*parents):
-            state = _peel(h.n, rings)
-            for v in range(h.n):
+        size = n - length + 1
+        for row in _cactus_census.get((size, k if length == 2 else k - 1), ()):
+            rings = row_rings(size, row)
+            state = _peel(size, rings)
+            for v in range(size):
                 code = _attach(state, rings, v, length)
                 if code not in seen:
-                    # for a pendant vertex, h.n == n - 1: one edge, twice
-                    new = [(v, h.n), (v, n - 1)] + [(u, u + 1) for u in range(h.n, n - 1)]
-                    seen[code] = (h.edges.union(new), ((v, *range(h.n, n)),) + rings)
+                    seen[code] = _push(v, length, row)
                     if len(seen) > limit:
                         raise _over_guard(n, k, limit)
-    graphs = tuple(Graph(n, edges) for edges, _ in seen.values())
-    return graphs, tuple(rings for _, rings in seen.values())
+    return tuple(seen.values())
 
 
 class _Peel(NamedTuple):
@@ -475,20 +552,22 @@ def cactus_key(g: Graph) -> str:
 
 
 def clear_caches() -> None:
-    """Empty the graph census, the cactus census and the canonical-key cache
-    (whose hit and miss statistics restart too); results do not depend on
-    them."""
+    """Empty the graph census, the cactus census's rows and graphs, the
+    tables rows are decoded with and the canonical-key cache (whose hit and
+    miss statistics restart too); results do not depend on them."""
     _graph_census.clear()
     _cactus_census.clear()
+    _census_graphs.clear()
     canonical_key.cache_clear()
+    _tables.cache_clear()
 
 
 def cactus_census_sizes(n: int) -> dict[int, int]:
     """Class counts of the cactus censuses for every feasible k at this n;
-    raises ValueError when n < 1, as census_in_generation_order does."""
+    raises ValueError when n < 1, as census_rows does.  Builds no graph."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    return {k: len(census_in_generation_order(n, k)) for k in range((n - 1) // 2 + 1)}
+    return {k: len(census_rows(n, k)) for k in range((n - 1) // 2 + 1)}
 
 
 def random_cactus(n: int, k: int, rng: random.Random) -> Graph:

@@ -4,10 +4,17 @@ index, and the subtree number in each class."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .census import canonical_key, census_with_rings, enumerate_cacti
+from .census import (
+    canonical_key,
+    census_in_generation_order,
+    census_rows,
+    enumerate_cacti,
+    row_graph,
+    row_rings,
+)
 from .families import (
     balanced_saw,
     cycle_graph,
@@ -31,22 +38,43 @@ def _known(invariants: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _evaluate(
-    classes: Iterable[tuple[Graph, Rings]], invariants: tuple[str, ...]
+    n: int, k: int, rows: Iterable[bytes], passes: dict[str, Callable[[int, Rings], int]]
 ) -> dict[str, list[int]]:
-    """Every invariant of every census class, names as _known returns them.
-    Each class comes as its graph and its hung rings (census_with_rings),
-    which the ring passes read as they are, with no block-cut tree built.
-    The rings are first checked against the graph in O(m): their edges must
-    number m and their cycles m - n + 1, else AssertionError."""
-    counters = ring_counters()
-    values: dict[str, list[int]] = {inv: [] for inv in invariants}
-    for g, rings in classes:
-        cycles = sum(len(ring) > 2 for ring in rings)
-        if sum(map(len, rings)) - len(rings) + cycles != g.m or cycles != g.m - g.n + 1:
-            raise AssertionError(f"census rings do not match the graph with edges {g.sorted_edges}")
-        for inv in invariants:
-            values[inv].append(counters[inv](g.n, rings))
+    """Every pass of passes (a ring counter, or _end_triangle) over every
+    census class, by name.  Each class comes as its census row
+    (census_rows), decoded once to hung rings that the passes read as they
+    are, with no graph and no block-cut tree built.  Each row is first
+    checked against n and k in O(its length): its lengths must give n
+    vertices, n - 1 + k edges and k cycles, and each block must hang from a
+    vertex hung before it, else AssertionError."""
+    values: dict[str, list[int]] = {name: [] for name in passes}
+    for row in rows:
+        lengths = row[1::2]
+        rings = row_rings(n, row)
+        # a block of length 2 is a pendant edge, a longer one a cycle with as
+        # many edges, and each adds its length - 1 vertices to its top
+        pendants = lengths.count(2)
+        shape = 1 + sum(lengths) - len(lengths), sum(lengths) - pendants, len(lengths) - pendants
+        hung = min(lengths, default=2) >= 2 and all(ring[0] < ring[1] for ring in rings)
+        if shape != (n, n - 1 + k, k) or not hung:
+            raise AssertionError(f"census row {row.hex()} does not match n={n}, k={k}")
+        for name, run in passes.items():
+            values[name].append(run(n, rings))
     return values
+
+
+class _RowGraphs(Sequence[Graph]):
+    """A census's classes as graphs, each built from its row when it is read
+    and not kept, so that verify_theorems builds only the classes it keys."""
+
+    def __init__(self, n: int, rows: tuple[bytes, ...]):
+        self.n, self.rows = n, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> Graph:
+        return row_graph(self.n, self.rows[i])
 
 
 @dataclass(frozen=True)
@@ -64,8 +92,10 @@ class ExtremalReport:
     max_value: int
     argmin: tuple[ArgEntry, ...]
     argmax: tuple[ArgEntry, ...]
-    # canonical-key order from extremal_sweep, generation order from verify_theorems
-    census: tuple[Graph, ...]
+    # extremal_sweep: the graphs in canonical-key order, as a tuple;
+    # verify_theorems: generation order, each graph built from its census
+    # row when it is read (_RowGraphs)
+    census: Sequence[Graph]
     values: tuple[int, ...]  # values[i] is the invariant of census[i]
 
     @property
@@ -92,20 +122,24 @@ def extremal_sweep(
     sets."""
     _known((invariant,))
     census = enumerate_cacti(n, k, guard=guard)
-    rings = dict(zip(*census_with_rings(n, k, guard=guard)))  # keyed by the same graphs
-    values = _evaluate(((g, rings[g]) for g in census), (invariant,))
+    # keyed by the same graphs
+    row = dict(zip(census_in_generation_order(n, k, guard), census_rows(n, k, guard)))
+    values = _evaluate(n, k, [row[g] for g in census], {invariant: ring_counters()[invariant]})
     return _report(n, k, invariant, census, values[invariant])
 
 
 def _report(
-    n: int, k: int, invariant: str, census: tuple[Graph, ...], values: list[int]
+    n: int, k: int, invariant: str, census: Sequence[Graph], values: list[int]
 ) -> ExtremalReport:
+    """The report of one invariant's values over census; only the classes
+    at an extreme are read from census, once per side."""
     lo, hi = min(values), max(values)
-    argmin = tuple(
-        ArgEntry(canonical_key(g), g) for g, v in zip(census, values) if v == lo
-    )
-    argmax = tuple(
-        ArgEntry(canonical_key(g), g) for g, v in zip(census, values) if v == hi
+    argmin, argmax = (
+        tuple(
+            ArgEntry(canonical_key(g), g)
+            for g in (census[i] for i, v in enumerate(values) if v == extreme)
+        )
+        for extreme in (lo, hi)
     )
     return ExtremalReport(n, k, invariant, lo, hi, argmin, argmax, census, tuple(values))
 
@@ -228,9 +262,15 @@ def verify_theorems(
     """
     checks: list[Check] = []
     invariants = _known(invariants)
-    # the checks compare sets of classes, so the census need not be sorted
-    census, rings = census_with_rings(n, k, guard=guard) if invariants else ((), ())
-    values = _evaluate(zip(census, rings), invariants)
+    # the checks compare sets of classes, so the census need not be sorted,
+    # and a class is built as a graph only where its key is compared
+    rows = census_rows(n, k, guard=guard) if invariants else ()
+    counters = ring_counters()
+    passes = {inv: counters[inv] for inv in invariants}
+    if "pn" in invariants and k >= 1:  # the pn minimum is compared with these
+        passes["end_triangle"] = _end_triangle
+    values = _evaluate(n, k, rows, passes)
+    census = _RowGraphs(n, rows)
     reports = {inv: _report(n, k, inv, census, values[inv]) for inv in invariants}
     bsg_defined = k >= 2 and n >= 2 * k + 2
     pn = reports.get("pn")
@@ -254,7 +294,7 @@ def verify_theorems(
             name, ok = "pn_max_is_ptc", keys == {ptc_key} and pn.max_value == ptc_summation(n, k)
         checks.append(Check(name, True, ok, detail))
         end_triangle_keys = frozenset(
-            canonical_key(g) for g, r in zip(census, rings) if _end_triangle(n, r)
+            canonical_key(census[i]) for i, flag in enumerate(values["end_triangle"]) if flag
         )
         keys, detail = _side(pn, "min")
         ok = keys == end_triangle_keys and pn.min_value == min_cactus_path_count(n, k)
@@ -268,7 +308,7 @@ def verify_theorems(
         keys, detail = _side(reports[inv], pfg_side)
         pfg_ok, tie = None, ""
         if k >= 1:
-            expected, tie = _pfg_and_ties(n, k, ring_counters()[inv])
+            expected, tie = _pfg_and_ties(n, k, counters[inv])
             pfg_ok = keys == expected
         checks.append(Check(f"{inv}_{pfg_side}_is_pfg", k >= 1, pfg_ok, detail + tie))
         keys, detail = _side(reports[inv], bsg_side)

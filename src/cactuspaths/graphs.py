@@ -292,7 +292,7 @@ class Block:
 # one towards vertex 0, and comes after every ring below it, so every vertex
 # but 0 is a non-top vertex of exactly one ring.  It is the order the ring
 # passes read.  RootedBlockCutTree.rings lists a tree's blocks this way, and
-# the census stores each class's blocks this way.
+# census.row_rings decodes each census class's row this way.
 Rings = tuple[tuple[int, ...], ...]
 
 _edges_of = attrgetter("edges")  # the key that orders BlockCutTree.blocks

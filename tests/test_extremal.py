@@ -11,7 +11,7 @@ from cactuspaths.census import (
     canonical_key,
     clear_caches,
 )
-from cactuspaths.counting import count_paths
+from cactuspaths.counting import count_paths, ring_path_count
 from cactuspaths.extremal import (
     INVARIANTS,
     SWEEP_COLUMNS,
@@ -127,11 +127,26 @@ def test_end_triangle_flags_are_computed_only_for_the_pn_minimum(monkeypatch):
     assert len(flagged) == len(census_module.census_with_rings(8, 2)[0])
 
 
-def test_evaluate_refuses_rings_that_do_not_match_the_graph():
-    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    for rings in (((0, 1), (1, 2)), ((0, 1, 2),)):  # an edge short; three edges, one a cycle
-        with pytest.raises(AssertionError, match="census rings do not match"):
-            extremal._evaluate([(path, rings)], ("pn",))
+def test_evaluate_refuses_a_row_that_does_not_match_n_and_k():
+    path = bytes((2, 2, 1, 2, 0, 2))  # P_4: three pendant blocks, newest first
+    pn = {"pn": ring_path_count}
+    assert extremal._evaluate(4, 0, [path], pn) == {"pn": [tree_path_count(4)]}
+    for row in (
+        bytes((1, 2, 0, 2)),  # an edge short
+        bytes((0, 3, 0, 2)),  # three edges, one a cycle
+        bytes((3, 2, 1, 2, 0, 2)),  # vertex 3 hung from itself
+        bytes((0, 1, 2, 2, 1, 2, 0, 2)),  # a block of one vertex
+    ):
+        with pytest.raises(AssertionError, match="does not match n=4, k=0"):
+            extremal._evaluate(4, 0, [row], pn)
+    rows = census_module.census_rows(7, 2)
+    with pytest.raises(AssertionError, match="does not match n=7, k=1"):
+        extremal._evaluate(7, 1, rows, pn)
+    for row in rows:  # the newest block hung from its own first vertex
+        top, length = row[0], row[1]
+        assert top < 7 - length + 1
+        with pytest.raises(AssertionError, match="does not match n=7, k=2"):
+            extremal._evaluate(7, 2, [bytes((8 - length,)) + row[1:]], pn)
 
 
 def test_sweep_rejects_unknown_invariant():
