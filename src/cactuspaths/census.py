@@ -30,11 +30,11 @@ read the rows and hand the decoded rings to the ring passes
 so no census class needs a Graph or a block-cut tree.  _peel, _code and
 _attach ignore the rings' order.
 
-Graphs are built only on demand (row_graph), from one table of edge tuples
-per vertex count.  census_in_generation_order builds the graphs of the
-census it is asked for, once, and keeps them, for callers whose results
-depend only on the set of classes; enumerate_cacti sorts them by
-canonical_key, which costs one key per class of that census only.
+The rows are the only form in which a census is held.  Graphs are built
+only on demand (row_graph), from one table of edge tuples per vertex
+count: enumerate_cacti builds the graphs of the census it is asked for,
+on each call, and sorts them by canonical_key, which costs one key per
+class of that census only.
 """
 
 from __future__ import annotations
@@ -220,49 +220,26 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(g for g in all_graphs(n) if is_connected(g))
 
 
-Census = tuple[tuple[Graph, ...], tuple[Rings, ...]]
 # (n, k) -> one row per class, in the order _grow finds them; a class's
 # representative depends on the order of its parents, so no cached census
 # is ever reordered
 _cactus_census: dict[tuple[int, int], tuple[bytes, ...]] = {}
-# (n, k) -> the graphs of that census's rows, for the censuses asked for as
-# graphs only
-_census_graphs: dict[tuple[int, int], tuple[Graph, ...]] = {}
 
 
 def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
     """One representative per isomorphism class of connected cacti with n
-    vertices and cycle rank k, in canonical-key order: the classes of
-    census_in_generation_order(n, k, guard), sorted.
+    vertices and cycle rank k, in canonical-key order: the graphs of
+    census_rows(n, k, guard), sorted.
 
     Raises CensusSizeError when this census or any smaller census it is
     grown from has more classes than the guard, cached or not."""
-    return tuple(sorted(census_in_generation_order(n, k, guard), key=canonical_key))
-
-
-def census_in_generation_order(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
-    """The classes of enumerate_cacti(n, k, guard), the same Graph objects,
-    in the order they are generated and with no canonical_key computed; the
-    order does not depend on what was called before.  The graphs are built
-    from census_rows(n, k, guard) the first time and kept.  The guard binds
-    as in enumerate_cacti."""
-    rows = census_rows(n, k, guard)
-    if (n, k) not in _census_graphs:
-        _census_graphs[(n, k)] = tuple(row_graph(n, row) for row in rows)
-    return _census_graphs[(n, k)]
-
-
-def census_with_rings(n: int, k: int, guard: int | None = None) -> Census:
-    """census_in_generation_order(n, k, guard), and beside it each class's
-    blocks as hung Rings, ready for the ring passes, decoded from its row
-    on each call."""
-    graphs = census_in_generation_order(n, k, guard)
-    return graphs, tuple(row_rings(n, row) for row in _cactus_census[(n, k)])
+    return tuple(sorted((row_graph(n, row) for row in census_rows(n, k, guard)), key=canonical_key))
 
 
 def census_rows(n: int, k: int, guard: int | None = None) -> tuple[bytes, ...]:
-    """The classes of census_in_generation_order(n, k, guard), in the same
-    order, each as its row, with no graph built: the top vertex and the
+    """The classes of connected cacti with n vertices and cycle rank k, in
+    the order they are generated, which does not depend on what was called
+    before, each as its row, with no graph built: the top vertex and the
     length of each block, one byte each, newest block first.  row_rings and
     row_graph decode a row.  The guard binds as in enumerate_cacti."""
     if n < 1:
@@ -552,12 +529,11 @@ def cactus_key(g: Graph) -> str:
 
 
 def clear_caches() -> None:
-    """Empty the graph census, the cactus census's rows and graphs, the
-    tables rows are decoded with and the canonical-key cache (whose hit and
-    miss statistics restart too); results do not depend on them."""
+    """Empty the graph census, the cactus census's rows, the tables rows
+    are decoded with and the canonical-key cache (whose hit and miss
+    statistics restart too); results do not depend on them."""
     _graph_census.clear()
     _cactus_census.clear()
-    _census_graphs.clear()
     canonical_key.cache_clear()
     _tables.cache_clear()
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import io
 import json
 import sys
+from contextlib import nullcontext
 
 from .census import CensusSizeError
 from .counting import (
@@ -158,17 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(columns, rows, out: str | None) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    text = buf.getvalue()
+def _write_csv(columns, rows: list[dict[str, str]], out: str | None) -> None:
+    """Write rows, computed in full, as CSV straight to the file out and
+    then say so on stdout, or, with no out, to stdout."""
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(columns), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return f"wrote {len(rows)} rows to {out}\n"
-    return text
+        sys.stdout.write(f"wrote {len(rows)} rows to {out}\n")
 
 
 def _cmd_pn(args) -> int:
@@ -215,7 +213,7 @@ def _cmd_reconcile(args) -> int:
         range(args.k_min, args.k_max + 1),
         budget=args.budget,
     )
-    sys.stdout.write(_write_csv(RECONCILIATION_COLUMNS, rows, args.out))
+    _write_csv(RECONCILIATION_COLUMNS, rows, args.out)
     return EXIT_OK
 
 
@@ -229,7 +227,7 @@ def _cmd_transform(args) -> int:
 def _cmd_sweep(args) -> int:
     report = extremal_sweep(args.n, args.k, args.invariant, guard=args.guard)
     rows = sweep_rows(report)
-    sys.stdout.write(_write_csv(SWEEP_COLUMNS, rows, args.out))
+    _write_csv(SWEEP_COLUMNS, rows, args.out)
     return EXIT_OK
 
 

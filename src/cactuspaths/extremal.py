@@ -7,14 +7,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .census import (
-    canonical_key,
-    census_in_generation_order,
-    census_rows,
-    enumerate_cacti,
-    row_graph,
-    row_rings,
-)
+from .census import canonical_key, census_rows, row_graph, row_rings
 from .families import (
     balanced_saw,
     cycle_graph,
@@ -65,7 +58,8 @@ def _evaluate(
 
 class _RowGraphs(Sequence[Graph]):
     """A census's classes as graphs, each built from its row when it is read
-    and not kept, so that verify_theorems builds only the classes it keys."""
+    and not kept, so that a report holds no graph and verify_theorems builds
+    only the classes it keys."""
 
     def __init__(self, n: int, rows: tuple[bytes, ...]):
         self.n, self.rows = n, rows
@@ -92,10 +86,7 @@ class ExtremalReport:
     max_value: int
     argmin: tuple[ArgEntry, ...]
     argmax: tuple[ArgEntry, ...]
-    # extremal_sweep: the graphs in canonical-key order, as a tuple;
-    # verify_theorems: generation order, each graph built from its census
-    # row when it is read (_RowGraphs)
-    census: Sequence[Graph]
+    census: Sequence[Graph]  # _RowGraphs
     values: tuple[int, ...]  # values[i] is the invariant of census[i]
 
     @property
@@ -121,11 +112,10 @@ def extremal_sweep(
     and k cycles and report the extremes with their complete argmin/argmax
     sets."""
     _known((invariant,))
-    census = enumerate_cacti(n, k, guard=guard)
-    # keyed by the same graphs
-    row = dict(zip(census_in_generation_order(n, k, guard), census_rows(n, k, guard)))
-    values = _evaluate(n, k, [row[g] for g in census], {invariant: ring_counters()[invariant]})
-    return _report(n, k, invariant, census, values[invariant])
+    # in enumerate_cacti's order
+    rows = tuple(sorted(census_rows(n, k, guard), key=lambda row: canonical_key(row_graph(n, row))))
+    values = _evaluate(n, k, rows, {invariant: ring_counters()[invariant]})
+    return _report(n, k, invariant, _RowGraphs(n, rows), values[invariant])
 
 
 def _report(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cactuspaths.census import CensusSizeError, census_in_generation_order, enumerate_cacti
+from cactuspaths.census import CensusSizeError, census_rows, enumerate_cacti
 
 # Classes per (n, k), k = 0, 1, ...; row sums are OEIS A000083.
 CLASSES = {
@@ -50,8 +50,8 @@ def test_class_counts_are_pinned():
 
 
 def test_class_counts_one_size_past_tier1_are_pinned():
-    # the n = 11 row, from the generation order, which computes no key
-    counts = tuple(len(census_in_generation_order(11, k)) for k in range(len(CLASSES[11])))
+    # the n = 11 row, from the census rows, which compute no key
+    counts = tuple(len(census_rows(11, k)) for k in range(len(CLASSES[11])))
     assert counts == CLASSES[11]
 
 

@@ -1,7 +1,7 @@
-"""Every census is grown and cached once, in generation order: the theorem
-checks read it as it is, and enumerate_cacti and sweep read it sorted by
-canonical_key.  Neither the cache's state nor the order of calls may change
-any result."""
+"""Every census is grown and cached once, as rows in generation order: the
+theorem checks read it as it is, and enumerate_cacti and sweep read it
+sorted by canonical_key.  Neither the cache's state nor the order of calls
+may change any result."""
 
 import hashlib
 import json
@@ -12,12 +12,13 @@ from test_pinned_digests import KEYS_SHA256
 from cactuspaths import census as census_module
 from cactuspaths.census import (
     canonical_key,
-    census_in_generation_order,
+    census_rows,
     clear_caches,
     enumerate_cacti,
+    row_graph,
 )
 from cactuspaths.cli import EXIT_BUDGET, EXIT_OK, main
-from cactuspaths.extremal import verify_theorems
+from cactuspaths.extremal import extremal_sweep, verify_theorems
 
 
 def _cells(n_max):
@@ -61,12 +62,15 @@ def test_clear_caches_empties_the_cactus_census():
 
 def test_a_census_is_held_once_in_one_order():
     clear_caches()
-    cold = census_in_generation_order(7, 2)
+    cold = census_rows(7, 2)
     census = enumerate_cacti(7, 2)
-    assert census_in_generation_order(7, 2) is cold
-    # enumerate_cacti reorders the cached graphs and copies none
-    assert len(census) == len(cold)
-    assert all(any(g is h for h in cold) for g in census)
+    assert census_rows(7, 2) is cold
+    # enumerate_cacti is the graphs of the cached rows, sorted
+    assert census == tuple(sorted((row_graph(7, row) for row in cold), key=canonical_key))
+
+
+def test_a_sweep_reports_the_census_of_enumerate_cacti():
+    assert list(extremal_sweep(9, 2, "pn").census) == list(enumerate_cacti(9, 2))
 
 
 def test_verify_keys_only_the_classes_it_compares():

@@ -94,7 +94,7 @@ def test_verify_validates_each_class_once(monkeypatch):
         peeled.append(rings)
         return peel(n, rings)
 
-    census_module.census_with_rings(9, 2)  # warm: growing a census peels its parents
+    census_module.census_rows(9, 2)  # warm: growing a census peels its parents
     monkeypatch.setattr(extremal, "ring_counters", counted)
     monkeypatch.setattr(extremal, "validate_cactus", validated.append)
     monkeypatch.setattr(census_module, "_peel", counted_peel)
@@ -124,7 +124,7 @@ def test_end_triangle_flags_are_computed_only_for_the_pn_minimum(monkeypatch):
     assert not flagged
     report = verify_theorems(8, 2, ("pn",))
     assert report.all_passed
-    assert len(flagged) == len(census_module.census_with_rings(8, 2)[0])
+    assert len(flagged) == len(census_module.census_rows(8, 2))
 
 
 def test_evaluate_refuses_a_row_that_does_not_match_n_and_k():

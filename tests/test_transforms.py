@@ -480,3 +480,12 @@ def test_drivers_apply_the_first_rule_that_fires(driver, rules):
             fired.add(step.rule)
         assert all(raises_transform_error(rule, final) for rule in rules)
     assert fired == set(rules)
+
+
+def test_a_step_refuses_a_missing_edge_to_remove_and_a_present_edge_to_add():
+    profile = validate_cactus(path_graph(4))
+    with pytest.raises(ValueError, match=r"no edge \(0, 2\) to remove"):
+        transforms._step(profile, ([(2, 0)], []))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) already present"):
+        transforms._step(profile, ([(1, 2)], [(1, 0)]))
+    assert profile.graph == path_graph(4)
