@@ -34,7 +34,9 @@ The rows are the only form in which a census is held.  Graphs are built
 only on demand (row_graph), from one table of edge tuples per vertex
 count: enumerate_cacti builds the graphs of the census it is asked for,
 on each call, and sorts them by canonical_key, which costs one key per
-class of that census only.
+class of that census only.  canonical_key keeps nothing, so neither a
+graph nor its key outlives the call that keyed it; a caller that reads a
+key twice carries it (extremal.ExtremalReport.keys).
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ def _stable_coloring(n: int, masks: tuple[int, ...]) -> list[int]:
         color = refined
 
 
-@lru_cache(maxsize=None)
 def canonical_key(g: Graph) -> bytes:
     """Label-independent key: equal for isomorphic graphs, distinct otherwise.
 
@@ -529,12 +530,10 @@ def cactus_key(g: Graph) -> str:
 
 
 def clear_caches() -> None:
-    """Empty the graph census, the cactus census's rows, the tables rows
-    are decoded with and the canonical-key cache (whose hit and miss
-    statistics restart too); results do not depend on them."""
+    """Empty the graph census, the cactus census's rows and the tables rows
+    are decoded with; results do not depend on them."""
     _graph_census.clear()
     _cactus_census.clear()
-    canonical_key.cache_clear()
     _tables.cache_clear()
 
 

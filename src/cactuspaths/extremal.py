@@ -56,18 +56,21 @@ def _evaluate(
     return values
 
 
+@dataclass(frozen=True)
 class _RowGraphs(Sequence[Graph]):
     """A census's classes as graphs, each built from its row when it is read
-    and not kept, so that a report holds no graph and verify_theorems builds
-    only the classes it keys."""
+    and not kept, so that a report holds no graph.  Views over equal rows
+    are equal, and a slice is the view over the sliced rows."""
 
-    def __init__(self, n: int, rows: tuple[bytes, ...]):
-        self.n, self.rows = n, rows
+    n: int
+    rows: tuple[bytes, ...]
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i: int) -> Graph:
+    def __getitem__(self, i: int | slice) -> Graph | _RowGraphs:
+        if isinstance(i, slice):
+            return _RowGraphs(self.n, self.rows[i])
         return row_graph(self.n, self.rows[i])
 
 
@@ -88,6 +91,7 @@ class ExtremalReport:
     argmax: tuple[ArgEntry, ...]
     census: Sequence[Graph]  # _RowGraphs
     values: tuple[int, ...]  # values[i] is the invariant of census[i]
+    keys: tuple[bytes, ...]  # keys[i] is canonical_key(census[i])
 
     @property
     def census_size(self) -> int:
@@ -112,34 +116,26 @@ def extremal_sweep(
     and k cycles and report the extremes with their complete argmin/argmax
     sets."""
     _known((invariant,))
-    # in enumerate_cacti's order
-    rows = tuple(sorted(census_rows(n, k, guard), key=lambda row: canonical_key(row_graph(n, row))))
-    values = _evaluate(n, k, rows, {invariant: ring_counters()[invariant]})
-    return _report(n, k, invariant, _RowGraphs(n, rows), values[invariant])
-
-
-def _report(
-    n: int, k: int, invariant: str, census: Sequence[Graph], values: list[int]
-) -> ExtremalReport:
-    """The report of one invariant's values over census; only the classes
-    at an extreme are read from census, once per side."""
+    # in enumerate_cacti's order, each class keyed once; a census holds one
+    # row per class, so no two keys tie and no two rows are compared
+    keys, rows = zip(
+        *sorted((canonical_key(row_graph(n, row)), row) for row in census_rows(n, k, guard))
+    )
+    census = _RowGraphs(n, rows)
+    values = _evaluate(n, k, rows, {invariant: ring_counters()[invariant]})[invariant]
     lo, hi = min(values), max(values)
     argmin, argmax = (
-        tuple(
-            ArgEntry(canonical_key(g), g)
-            for g in (census[i] for i, v in enumerate(values) if v == extreme)
-        )
+        tuple(ArgEntry(keys[i], census[i]) for i, v in enumerate(values) if v == extreme)
         for extreme in (lo, hi)
     )
-    return ExtremalReport(n, k, invariant, lo, hi, argmin, argmax, census, tuple(values))
+    return ExtremalReport(n, k, invariant, lo, hi, argmin, argmax, census, tuple(values), keys)
 
 
 def sweep_rows(report: ExtremalReport) -> list[dict[str, str]]:
     """CSV rows for one sweep: every census class with its value and
     argmin/argmax membership."""
     rows = []
-    for g, value in zip(report.census, report.values):
-        key = canonical_key(g)
+    for g, value, key in zip(report.census, report.values, report.keys):
         rows.append(
             {
                 "canonical_key": key.hex(),
@@ -209,29 +205,22 @@ class VerificationReport:
         }
 
 
-def _pfg_and_ties(n: int, k: int, invariant) -> tuple[set[bytes], str]:
-    """The keys of the classes expected at PFG(n, k)'s extreme of an
-    invariant, and a detail suffix naming any tie: at k = 1 the cycle C_n
-    joins when it is another class with PFG(n, 1)'s value (the Wiener index
-    at n = 4, 5, the subtree number at n = 4)."""
+def _pfg_and_ties(n: int, k: int, invariant, key) -> tuple[set[bytes], str]:
+    """The keys, computed by key, of the classes expected at PFG(n, k)'s
+    extreme of an invariant, and a detail suffix naming any tie: at k = 1
+    the cycle C_n joins when it is another class with PFG(n, 1)'s value (the
+    Wiener index at n = 4, 5, the subtree number at n = 4)."""
     pfg = pseudo_friendship(n, k)
-    keys = {canonical_key(pfg)}
+    keys = {key(pfg)}
     if k == 1:
         cycle = cycle_graph(n)
-        ck = canonical_key(cycle)
+        ck = key(cycle)
         cycle_value, pfg_value = (
             invariant(n, validate_cactus(g).tree.rooted.rings) for g in (cycle, pfg)
         )
         if ck not in keys and cycle_value == pfg_value:
             return keys | {ck}, f"; C_{n} ties PFG({n}, 1)"
     return keys, ""
-
-
-def _side(rep: ExtremalReport, side: str) -> tuple[frozenset[bytes], str]:
-    """The keys of the classes at one side ("min" or "max") of a sweep, and
-    the detail naming that side's value and how many classes attain it."""
-    entries, value = (rep.argmin, rep.min_value) if side == "min" else (rep.argmax, rep.max_value)
-    return frozenset(e.key for e in entries), f"{side} {value} attained by {len(entries)} class(es)"
 
 
 def verify_theorems(
@@ -252,66 +241,77 @@ def verify_theorems(
     """
     checks: list[Check] = []
     invariants = _known(invariants)
-    # the checks compare sets of classes, so the census need not be sorted,
-    # and a class is built as a graph only where its key is compared
+    # the checks compare sets of classes, so the census need not be sorted;
+    # a census holds one row per class, so two sets of its classes compare
+    # by census index, and a class is built and keyed only where it is
+    # compared with a named family
     rows = census_rows(n, k, guard=guard) if invariants else ()
     counters = ring_counters()
     passes = {inv: counters[inv] for inv in invariants}
     if "pn" in invariants and k >= 1:  # the pn minimum is compared with these
         passes["end_triangle"] = _end_triangle
     values = _evaluate(n, k, rows, passes)
-    census = _RowGraphs(n, rows)
-    reports = {inv: _report(n, k, inv, census, values[inv]) for inv in invariants}
-    bsg_defined = k >= 2 and n >= 2 * k + 2
-    pn = reports.get("pn")
+    keys: dict[Graph, bytes] = {}
 
-    if pn is not None and k == 0:
+    def key(g: Graph) -> bytes:
+        """canonical_key(g), computed once per call for each graph compared,
+        a census class or a named family alike."""
+        if g not in keys:
+            keys[g] = canonical_key(g)
+        return keys[g]
+
+    def keys_at(at: list[int]) -> set[bytes]:
+        return {key(row_graph(n, rows[i])) for i in at}
+
+    def side(inv: str, name: str) -> tuple[int, list[int], str]:
+        """One side ("min" or "max") of an invariant: its value, the census
+        indices of the classes that attain it, and a detail naming both."""
+        value = min(values[inv]) if name == "min" else max(values[inv])
+        at = [i for i, v in enumerate(values[inv]) if v == value]
+        return value, at, f"{name} {value} attained by {len(at)} class(es)"
+
+    bsg_defined = k >= 2 and n >= 2 * k + 2
+
+    if "pn" in invariants and k == 0:
         value = tree_path_count(n)
+        constant = min(values["pn"]) == max(values["pn"]) == value
         checks.append(
-            Check(
-                "pn_trees_constant",
-                True,
-                pn.min_value == pn.max_value == value,
-                f"all {pn.census_size} trees have pn {value}",
-            )
+            Check("pn_trees_constant", True, constant, f"all {len(rows)} trees have pn {value}")
         )
-    if pn is not None and k >= 1:
-        keys, detail = _side(pn, "max")
+    if "pn" in invariants and k >= 1:
+        top, at, detail = side("pn", "max")
         if k == 1:
-            name, ok = "pn_max_is_cycle", keys == {canonical_key(cycle_graph(n))}
+            name, ok = "pn_max_is_cycle", keys_at(at) == {key(cycle_graph(n))}
         else:
-            ptc_key = canonical_key(pseudo_triangle_chain(n, k))
-            name, ok = "pn_max_is_ptc", keys == {ptc_key} and pn.max_value == ptc_summation(n, k)
+            name = "pn_max_is_ptc"
+            ok = keys_at(at) == {key(pseudo_triangle_chain(n, k))} and top == ptc_summation(n, k)
         checks.append(Check(name, True, ok, detail))
-        end_triangle_keys = frozenset(
-            canonical_key(census[i]) for i, flag in enumerate(values["end_triangle"]) if flag
-        )
-        keys, detail = _side(pn, "min")
-        ok = keys == end_triangle_keys and pn.min_value == min_cactus_path_count(n, k)
-        detail += f"; {len(end_triangle_keys)} end-triangle class(es)"
+        end_triangle = [i for i, flag in enumerate(values["end_triangle"]) if flag]
+        low, at, detail = side("pn", "min")
+        ok = at == end_triangle and low == min_cactus_path_count(n, k)
+        detail += f"; {len(end_triangle)} end-triangle class(es)"
         checks.append(Check("pn_min_is_end_triangle_family", True, ok, detail))
 
     # PFG and BSG sit at opposite extremes of the Wiener index and of the subtree number
     for inv, pfg_side, bsg_side in (("wiener", "min", "max"), ("subtrees", "max", "min")):
-        if inv not in reports:
+        if inv not in invariants:
             continue
-        keys, detail = _side(reports[inv], pfg_side)
+        _, at, detail = side(inv, pfg_side)
         pfg_ok, tie = None, ""
         if k >= 1:
-            expected, tie = _pfg_and_ties(n, k, counters[inv])
-            pfg_ok = keys == expected
+            expected, tie = _pfg_and_ties(n, k, counters[inv], key)
+            pfg_ok = keys_at(at) == expected
         checks.append(Check(f"{inv}_{pfg_side}_is_pfg", k >= 1, pfg_ok, detail + tie))
-        keys, detail = _side(reports[inv], bsg_side)
-        bsg_ok = keys == {canonical_key(balanced_saw(n, k))} if bsg_defined else None
+        _, at, detail = side(inv, bsg_side)
+        bsg_ok = keys_at(at) == {key(balanced_saw(n, k))} if bsg_defined else None
         checks.append(Check(f"{inv}_{bsg_side}_is_bsg", bsg_defined, bsg_ok, detail))
 
-    if pn is not None:
+    if "pn" in invariants:
         distinct = contains = None
         if bsg_defined:
-            ptc, bsg = pseudo_triangle_chain(n, k), balanced_saw(n, k)
-            distinct = canonical_key(ptc) != canonical_key(bsg)
-            pfg_key = canonical_key(pseudo_friendship(n, k))
-            contains = pfg_key in pn.argmin_keys and len(pn.argmin) > 1
+            distinct = key(pseudo_triangle_chain(n, k)) != key(balanced_saw(n, k))
+            _, at, _ = side("pn", "min")
+            contains = key(pseudo_friendship(n, k)) in keys_at(at) and len(at) > 1
         for name, ok, detail in (
             ("pn_max_differs_from_wiener_max", distinct, "PTC and BSG are non-isomorphic"),
             ("pn_min_strictly_contains_wiener_min", contains, "PFG minimizes pn but not uniquely"),

@@ -1,15 +1,19 @@
 """Every census is grown and cached once, as rows in generation order: the
 theorem checks read it as it is, and enumerate_cacti and sweep read it
-sorted by canonical_key.  Neither the cache's state nor the order of calls
-may change any result."""
+sorted by canonical_key, which caches nothing, so each caller keys each
+class it compares once and no graph outlives its call.  Neither the
+census cache's state nor the order of calls may change any result."""
 
+import gc
 import hashlib
 import json
+import weakref
 
 from test_census_build import CENSUS_SHA256
 from test_pinned_digests import KEYS_SHA256
 
 from cactuspaths import census as census_module
+from cactuspaths import extremal
 from cactuspaths.census import (
     canonical_key,
     census_rows,
@@ -18,7 +22,7 @@ from cactuspaths.census import (
     row_graph,
 )
 from cactuspaths.cli import EXIT_BUDGET, EXIT_OK, main
-from cactuspaths.extremal import extremal_sweep, verify_theorems
+from cactuspaths.extremal import extremal_sweep, sweep_rows, verify_theorems
 
 
 def _cells(n_max):
@@ -54,10 +58,10 @@ def test_cache_state_and_call_order_do_not_change_results():
 def test_clear_caches_empties_the_cactus_census():
     clear_caches()
     enumerate_cacti(7, 2)
-    assert census_module._cactus_census and canonical_key.cache_info().currsize
+    assert census_module._cactus_census and census_module._tables.cache_info().currsize
     clear_caches()
     assert census_module._cactus_census == {}
-    assert canonical_key.cache_info().currsize == 0
+    assert census_module._tables.cache_info().currsize == 0
 
 
 def test_a_census_is_held_once_in_one_order():
@@ -73,12 +77,47 @@ def test_a_sweep_reports_the_census_of_enumerate_cacti():
     assert list(extremal_sweep(9, 2, "pn").census) == list(enumerate_cacti(9, 2))
 
 
-def test_verify_keys_only_the_classes_it_compares():
-    # sorting the census keyed every class: 517 and 390 misses before
-    for (n, k), misses in (((10, 3), 21), ((9, 2), 26)):
+def _keyed(monkeypatch):
+    """The graphs extremal keys from now on, one entry per canonical_key call."""
+    keyed = []
+
+    def counted(g):
+        keyed.append(g)
+        return canonical_key(g)
+
+    monkeypatch.setattr(extremal, "canonical_key", counted)
+    return keyed
+
+
+def test_verify_keys_only_the_classes_it_compares(monkeypatch):
+    # sorting the census keyed every class: 517 and 390 keys before; the
+    # bounds are the distinct classes and families compared, so none is
+    # keyed twice
+    keyed = _keyed(monkeypatch)
+    for (n, k), most in (((10, 3), 21), ((9, 2), 26)):
         clear_caches()
+        keyed.clear()
         verify_theorems(n, k)
-        assert canonical_key.cache_info().misses == misses, (n, k)
+        assert len(keyed) <= most, (n, k, len(keyed))
+
+
+def test_a_sweep_and_its_rows_key_each_class_once(monkeypatch):
+    # sweep_rows reads the report's keys: 654 keys before, each class twice
+    keyed = _keyed(monkeypatch)
+    report = extremal_sweep(10, 3, "subtrees")
+    rows = sweep_rows(report)
+    assert len(keyed) == len(rows) == 326
+    assert [bytes.fromhex(row["canonical_key"]) for row in rows] == list(report.keys)
+    assert list(report.keys) == [canonical_key(g) for g in report.census]
+
+
+def test_no_census_graph_outlives_its_call():
+    census = enumerate_cacti(8, 2)
+    refs = [weakref.ref(g) for g in census]
+    assert len(refs) == 65
+    del census
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 def test_verify_guard_binds_the_same_censuses_cold_and_after_a_sweep(capsys):

@@ -55,6 +55,14 @@ def test_sweep_trees_constant():
     assert len(rep.argmin) == rep.census_size == 6
 
 
+def test_equal_sweeps_are_equal_and_their_census_slices():
+    report = extremal_sweep(7, 2, "pn")
+    assert report == extremal_sweep(7, 2, "pn")
+    head = report.census[:2]
+    assert len(head) == 2 and list(head) == list(report.census)[:2]
+    assert head == extremal_sweep(7, 2, "pn").census[:2] != report.census
+
+
 def test_sweep_rows_shape():
     rep = extremal_sweep(5, 2, "pn")
     rows = sweep_rows(rep)
