@@ -5,8 +5,8 @@ index, and the subtree number in each class."""
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 
+from ._record import Record
 from .census import canonical_key, census_rows, row_graph, row_rings
 from .families import (
     balanced_saw,
@@ -56,8 +56,7 @@ def _evaluate(
     return values
 
 
-@dataclass(frozen=True)
-class _RowGraphs(Sequence[Graph]):
+class _RowGraphs(Record, Sequence[Graph]):
     """A census's classes as graphs, each built from its row when it is read
     and not kept, so that a report holds no graph.  Views over equal rows
     are equal, and a slice is the view over the sliced rows."""
@@ -74,14 +73,12 @@ class _RowGraphs(Sequence[Graph]):
         return row_graph(self.n, self.rows[i])
 
 
-@dataclass(frozen=True)
-class ArgEntry:
+class ArgEntry(Record):
     key: bytes
     graph: Graph
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(Record):
     n: int
     k: int
     invariant: str
@@ -170,8 +167,7 @@ def _end_triangle(n: int, rings: Sequence[Sequence[int]]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     applicable: bool
     passed: bool | None
@@ -186,8 +182,7 @@ class Check:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     n: int
     k: int
     checks: tuple[Check, ...]

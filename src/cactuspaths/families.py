@@ -6,9 +6,8 @@ golden tests and reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .formulas import ptc_shape
+from ._record import Record
+from .formulas import _pfg_domain, ptc_shape
 from .graphs import Graph
 
 
@@ -69,10 +68,7 @@ def pseudo_triangle_chain(n: int, k: int) -> Graph:
 
 def pseudo_friendship(n: int, k: int) -> Graph:
     """PFG(n, k): k triangles through hub 0 plus n-2k-1 pendant edges at 0."""
-    if k < 1:
-        raise ValueError("need at least one triangle")
-    if n < 2 * k + 1:
-        raise ValueError(f"PFG({n},{k}) needs n >= {2 * k + 1}")
+    _pfg_domain(n, k)
     edges: list[tuple[int, int]] = []
     for i in range(k):
         a, b = 2 * i + 1, 2 * i + 2
@@ -137,8 +133,7 @@ def end_triangle_cactus(
     return Graph.from_edges(nxt, edges)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """Parsed description of a named family, as accepted by the CLI."""
 
     family: str

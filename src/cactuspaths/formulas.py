@@ -11,9 +11,13 @@ as an exact rational, only for the reconciliation report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
+from typing import TYPE_CHECKING
+
+from ._record import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def tree_path_count(n: int) -> int:
@@ -62,8 +66,7 @@ def connected_graph_bounds(n: int) -> tuple[int, int]:
     return lower, total // 2
 
 
-@dataclass(frozen=True)
-class PtcShape:
+class PtcShape(Record):
     """End-cycle lengths of the pseudo triangle chain PTC(n, k)."""
 
     n: int
@@ -121,6 +124,8 @@ def ptc_printed(n: int, k: int) -> Fraction:
     even n; see the module docstring.  For reconciliation only - use
     ptc_summation for the real count.
     """
+    from fractions import Fraction  # here, so that importing the package skips it
+
     ptc_shape(n, k)  # validate the domain
     head = (n * n - 4 * k * n + 14 * n + 4 * k * k - 28 * k + 49) * 2 ** (k - 2)
     tail = Fraction(n * n - 4 * k * n - 6 * n + 4 * k * k - 4 * k + 7, 2)
@@ -136,6 +141,39 @@ def min_cactus_path_count(n: int, k: int) -> int:
     if n < 2 * k + 1:
         raise ValueError(f"n={n} is too small for {k} vertex-disjoint triangles")
     return 2 * k * k + 2 * k * n - 5 * k + (n * n + n) // 2
+
+
+def _pfg_domain(n: int, k: int) -> None:
+    """Raise ValueError unless PFG(n, k) exists: k >= 1 triangles on
+    n >= 2k + 1 vertices."""
+    if k < 1:
+        raise ValueError("need at least one triangle")
+    if n < 2 * k + 1:
+        raise ValueError(f"PFG({n},{k}) needs n >= {2 * k + 1}")
+
+
+def pfg_wiener(n: int, k: int) -> int:
+    """Wiener index of the pseudo friendship graph PFG(n, k): (n-1)^2 - k.
+
+    The hub is at distance 1 from the other n - 1 vertices, the two other
+    vertices of each triangle are adjacent, and every other pair of the
+    C(n-1, 2) is at distance 2.
+    """
+    _pfg_domain(n, k)
+    return (n - 1) ** 2 - k
+
+
+def pfg_subtree_count(n: int, k: int) -> int:
+    """Subtree number of PFG(n, k): 6^k * 2^(n-2k-1) + n + k - 1.
+
+    A subtree through the hub takes one of six shapes in each triangle
+    (none of it, the edge to either mate, both those edges, or the path
+    through either mate to the other) and each of the n - 2k - 1 pendant
+    edges or not; the rest are the n - 1 single vertices and the k edges
+    between triangle mates.
+    """
+    _pfg_domain(n, k)
+    return 6**k * 2 ** (n - 2 * k - 1) + n + k - 1
 
 
 def cactus_path_bounds(n: int, k: int) -> tuple[int, int]:

@@ -20,10 +20,11 @@ import io
 import json
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import attrgetter
+
+from ._record import Record
 
 
 class GraphError(Exception):
@@ -62,21 +63,23 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Simple undirected graph on vertices 0..n-1."""
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
-        for u, v in self.edges:
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) not sorted or out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u}, {v}) not sorted or out of range for n={n}")
+        fields = self.__dict__
+        fields["n"] = n
+        fields["edges"] = edges
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -266,8 +269,7 @@ CYCLE = "cycle"
 OTHER = "other"
 
 
-@dataclass(frozen=True, slots=True)
-class Block:
+class Block(Record):
     """A block of the block-cut tree.
 
     kind is "bridge" (a single bridge edge), "cycle" (a chordless cycle,
@@ -275,9 +277,17 @@ class Block:
     not a cycle; only possible outside the cactus class).
     """
 
+    __slots__ = ("kind", "vertices", "edges")
     kind: str
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self, kind: str, vertices: tuple[int, ...], edges: tuple[tuple[int, int], ...]
+    ) -> None:
+        _set_kind(self, kind)
+        _set_vertices(self, vertices)
+        _set_edges(self, edges)
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -285,6 +295,15 @@ class Block:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+
+# the slots' own setters, which Block.__init__ calls past Record's refusing
+# __setattr__: a third faster than object.__setattr__
+_set_kind, _set_vertices, _set_edges = (
+    Block.kind.__set__,
+    Block.vertices.__set__,
+    Block.edges.__set__,
+)
 
 
 # A cactus's blocks as rings: each bridge as its two ends, each cycle in
@@ -298,8 +317,7 @@ Rings = tuple[tuple[int, ...], ...]
 _edges_of = attrgetter("edges")  # the key that orders BlockCutTree.blocks
 
 
-@dataclass(frozen=True)
-class BlockCutTree:
+class BlockCutTree(Record):
     """Blocks and cut vertices of a connected graph.
 
     incidence[i] lists the cut vertices lying on blocks[i]; the bipartite
@@ -366,8 +384,7 @@ class BlockCutTree:
         )
 
 
-@dataclass(frozen=True)
-class RootedBlockCutTree:
+class RootedBlockCutTree(Record):
     """A block-cut tree with integer node ids, rooted at block 0.
 
     Nodes 0..B-1 are the blocks in BlockCutTree order, then come the cut
@@ -489,8 +506,7 @@ def _close_block(raw: list[tuple[int, int]], top: int) -> Block:
     return Block(CYCLE, tuple(ring), edges)
 
 
-@dataclass(frozen=True)
-class CactusProfile:
+class CactusProfile(Record):
     """A cactus and its block-cut tree, from which every other fact is read.
 
     On a cactus a cycle vertex has degree > 2 exactly when it is a cut

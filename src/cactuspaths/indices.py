@@ -11,9 +11,9 @@ census class's rings as the census stores them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .counting import BudgetExceededError, count_paths, ring_path_count, work_budget
 from .graphs import (
     CactusProfile,
@@ -195,8 +195,7 @@ def ring_counters() -> dict[str, Callable[[int, Iterable[Sequence[int]]], int]]:
     return {"pn": ring_path_count, "wiener": ring_wiener, "subtrees": ring_subtree_count}
 
 
-@dataclass(frozen=True)
-class InvariantTriple:
+class InvariantTriple(Record):
     """Subpath number, Wiener index, and subtree number of one graph."""
 
     pn: int

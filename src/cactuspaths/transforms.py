@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import islice
 
+from ._record import Record
 from .counting import cactus_path_count
 from .graphs import (
     CYCLE,
@@ -75,8 +75,7 @@ class FixpointError(Exception):
     """A fixpoint driver exceeded its iteration cap."""
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(Record):
     rule: str
     before: Graph
     after: Graph

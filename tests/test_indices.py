@@ -11,6 +11,7 @@ from cactuspaths.families import (
     path_graph,
     pseudo_friendship,
 )
+from cactuspaths.formulas import pfg_subtree_count, pfg_wiener
 from cactuspaths.graphs import DisconnectedError, Graph, validate_cactus
 from cactuspaths.indices import (
     cactus_subtree_count,
@@ -57,22 +58,15 @@ def test_subtree_budget_guard():
         subtree_count(complete_graph(7), budget=20)
 
 
-def pfg_wiener_by_hand(n, k):
-    # hub at distance 1 from everyone, triangle mates adjacent, rest at 2
-    return (n - 1) + 2 * comb(n - 1, 2) - k
-
-
-def pfg_subtrees_by_hand(n, k):
-    # per triangle, six hub-containing shapes; pendants double the count
-    p = n - 2 * k - 1
-    return 6**k * 2**p + 3 * k + p
-
-
 def test_pfg_indices_match_hand_formulas():
     for n, k in [(3, 1), (5, 2), (7, 3), (8, 2), (9, 3), (10, 3), (11, 4)]:
         g = pseudo_friendship(n, k)
-        assert wiener(g) == pfg_wiener_by_hand(n, k)
-        assert subtree_count(g) == pfg_subtrees_by_hand(n, k)
+        assert wiener(g) == pfg_wiener(n, k)
+        assert subtree_count(g) == pfg_subtree_count(n, k)
+    for n, k in [(2, 1), (5, 0)]:  # outside PFG's domain, as for the family
+        for form in (pfg_wiener, pfg_subtree_count, pseudo_friendship):
+            with pytest.raises(ValueError):
+                form(n, k)
 
 
 def census(max_n):
@@ -123,10 +117,10 @@ def test_cactus_indices_closed_forms_at_large_n():
         assert cactus_wiener(profile) == n * (n * n - 1) // 6
     for n, k in [(10001, 5000), (10000, 3000)]:
         profile = validate_cactus(pseudo_friendship(n, k))
-        assert cactus_subtree_count(profile) == pfg_subtrees_by_hand(n, k)
-        assert cactus_wiener(profile) == pfg_wiener_by_hand(n, k)
+        assert cactus_subtree_count(profile) == pfg_subtree_count(n, k)
+        assert cactus_wiener(profile) == pfg_wiener(n, k)
         t = invariant_triple(profile.graph)  # takes the linear path on a cactus
-        assert (t.wiener, t.subtrees) == (pfg_wiener_by_hand(n, k), pfg_subtrees_by_hand(n, k))
+        assert (t.wiener, t.subtrees) == (pfg_wiener(n, k), pfg_subtree_count(n, k))
 
 
 def test_adding_an_edge_strictly_decreases_wiener():

@@ -8,7 +8,7 @@ import random
 from cactuspaths.census import census_rows, random_cactus, row_graph, row_rings
 from cactuspaths.counting import cactus_path_count, count_paths, ring_path_count
 from cactuspaths.families import cycle_chain, pseudo_friendship
-from cactuspaths.formulas import ptc_summation
+from cactuspaths.formulas import pfg_subtree_count, pfg_wiener, ptc_summation
 from cactuspaths.graphs import validate_cactus
 from cactuspaths.indices import (
     cactus_subtree_count,
@@ -81,13 +81,11 @@ def test_ring_passes_match_the_oracles_and_relabellings_on_random_cacti():
 
 def test_profile_counters_meet_closed_forms_on_a_large_pseudo_friendship_graph():
     # PFG(n, k): k triangles and n - 2k - 1 pendant vertices at one centre,
-    # so every pair of vertices is at distance at most 2, and a subtree
-    # through the centre picks one of 6 shapes in each triangle and takes
-    # each pendant edge or not
+    # whose closed forms formulas.pfg_wiener and pfg_subtree_count derive
     n, k = 20001, 5000
     profile = validate_cactus(pseudo_friendship(n, k))
-    assert cactus_wiener(profile) == (n - 1) ** 2 - k
-    assert cactus_subtree_count(profile) == 6**k * 2 ** (n - 2 * k - 1) + n + k - 1
+    assert cactus_wiener(profile) == pfg_wiener(n, k)
+    assert cactus_subtree_count(profile) == pfg_subtree_count(n, k)
 
 
 def test_profile_counters_are_label_free_on_a_long_triangle_chain():
