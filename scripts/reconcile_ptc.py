@@ -32,7 +32,9 @@ def main() -> int:
     rows = reconciliation_rows(
         range(args.n_min, args.n_max + 1), range(args.k_min, args.k_max + 1)
     )
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(RECONCILIATION_COLUMNS))
+    writer = csv.DictWriter(
+        sys.stdout, fieldnames=list(RECONCILIATION_COLUMNS), lineterminator="\n"
+    )
     writer.writeheader()
     writer.writerows(rows)
     mismatches = [r for r in rows if r["oracle"] != r["summation"]]

@@ -25,27 +25,33 @@ pairs, newest block first.  A new block hung at vertex v of a parent on h
 vertices is the ring (v, h, ..., n - 1), so a row decodes to its class's
 blocks as hung rings (graphs.Rings, row_rings), each block's vertices
 after its top counting down from n - 1.  The sweeps and the theorem checks
-read the rows and hand the decoded rings to the ring passes
+hand the rings that checked_rings checks and decodes to the ring passes
 (counting.ring_path_count, indices.ring_wiener, indices.ring_subtree_count),
-so no census class needs a Graph or a block-cut tree.  _peel, _code and
-_attach ignore the rings' order.
+so no class needs a Graph or a block-cut tree, and no other module reads a
+row.  _peel, _code and _attach ignore the rings' order.
 
 The rows are the only form in which a census is held.  Graphs are built
 only on demand (row_graph), from one table of edge tuples per vertex
-count: enumerate_cacti builds the graphs of the census it is asked for,
-on each call, and sorts them by canonical_key, which costs one key per
-class of that census only.  canonical_key keeps nothing, so neither a
-graph nor its key outlives the call that keyed it; a caller that reads a
+count.  keyed_census sorts a census by canonical_key, one key per class;
+enumerate_cacti and extremal.extremal_sweep both read it and both return
+a read-only view over the sorted rows (_RowGraphs) that builds a class's
+graph each time it is read.  canonical_key keeps nothing, so neither a
+graph nor its key outlives the call that made it; a caller that reads a
 key twice carries it (extremal.ExtremalReport.keys).
 """
 
 from __future__ import annotations
 
-import random
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from typing import NamedTuple
 
+from ._record import Record
 from .graphs import Graph, Rings, is_connected, validate_cactus
+
+TYPE_CHECKING = False  # typing's own flag would cost importing typing
+if TYPE_CHECKING:  # for random_cactus's annotation only
+    import random
 
 DEFAULT_CENSUS_GUARD = 10**7
 
@@ -227,14 +233,37 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
 _cactus_census: dict[tuple[int, int], tuple[bytes, ...]] = {}
 
 
-def enumerate_cacti(n: int, k: int, guard: int | None = None) -> tuple[Graph, ...]:
+def enumerate_cacti(n: int, k: int, guard: int | None = None) -> Sequence[Graph]:
     """One representative per isomorphism class of connected cacti with n
-    vertices and cycle rank k, in canonical-key order: the graphs of
-    census_rows(n, k, guard), sorted.
+    vertices and cycle rank k, in canonical-key order: the rows of
+    keyed_census(n, k, guard) as graphs, each built when it is read.  Raises
+    CensusSizeError when this census or any smaller census it is grown from
+    has more classes than the guard, cached or not."""
+    return _RowGraphs(n, keyed_census(n, k, guard)[1])
 
-    Raises CensusSizeError when this census or any smaller census it is
-    grown from has more classes than the guard, cached or not."""
-    return tuple(sorted((row_graph(n, row) for row in census_rows(n, k, guard)), key=canonical_key))
+
+def keyed_census(n: int, k: int, guard: int | None = None) -> tuple[tuple[bytes, ...], ...]:
+    """The canonical keys and the rows of census_rows(n, k, guard), sorted by
+    key, each class keyed once from a graph that is not kept.  A census holds
+    one row per class, so no two keys tie and no two rows are compared."""
+    keyed = sorted((canonical_key(row_graph(n, row)), row) for row in census_rows(n, k, guard))
+    return tuple(zip(*keyed))
+
+
+class _RowGraphs(Record, Sequence[Graph]):
+    """A census's classes as graphs, each built from its row when it is read
+    and not kept; views over equal rows are equal, and slices are views."""
+
+    n: int
+    rows: tuple[bytes, ...]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int | slice) -> Graph | _RowGraphs:
+        if isinstance(i, slice):
+            return _RowGraphs(self.n, self.rows[i])
+        return row_graph(self.n, self.rows[i])
 
 
 def census_rows(n: int, k: int, guard: int | None = None) -> tuple[bytes, ...]:
@@ -289,6 +318,23 @@ def row_rings(n: int, row: bytes) -> Rings:
         rings.append((top,) + labels[lo:hi])
         hi = lo
     return tuple(rings)
+
+
+def checked_rings(n: int, k: int, rows: Iterable[bytes]) -> Iterator[Rings]:
+    """row_rings(n, row) of each row, after checking in O(its length) that
+    its lengths give n vertices, n - 1 + k edges and k cycles and that each
+    block hangs from a vertex hung before it, else AssertionError."""
+    for row in rows:
+        lengths = row[1::2]
+        rings = row_rings(n, row)
+        # a block of length 2 is a pendant edge, a longer one a cycle with as
+        # many edges, and each adds its length - 1 vertices to its top
+        pendants = lengths.count(2)
+        shape = 1 + sum(lengths) - len(lengths), sum(lengths) - pendants, len(lengths) - pendants
+        hung = min(lengths, default=2) >= 2 and all(ring[0] < ring[1] for ring in rings)
+        if shape != (n, n - 1 + k, k) or not hung:
+            raise AssertionError(f"census row {row.hex()} does not match n={n}, k={k}")
+        yield rings
 
 
 _Edges = tuple[tuple[int, int], ...]
@@ -348,21 +394,14 @@ def _grow(n: int, k: int, limit: int) -> tuple[bytes, ...]:
     return tuple(seen.values())
 
 
-class _Peel(NamedTuple):
-    """What _code's peel finds: the code, and every code it makes on the
-    way.  A cut vertex's or a block's code is its code as its parent's
-    child; the centre's is its code as the root."""
-
-    code: str  # the centred code
-    vcode: list[str]  # each vertex's code, "()" off the cut vertices
-    kids: list[list[str]]  # each cut vertex's child blocks' codes, sorted
-    home: list[int]  # each vertex's block towards the centre, -1 at the centre
-    bcode: list[str]  # each block's code
-    top: list[int]  # each block's top vertex, -1 at the centre
-    depth: list[int]  # each block's distance from the centre
-    cv: int  # the centre if it is a cut vertex, else -1
-    cb: int  # the centre if it is a block, else -1
-    r: int  # the centre's height: the depth of the deepest blocks
+# What _code's peel finds: code, the centred code, and every code it makes on
+# the way, a cut vertex's or a block's as its parent's child: vcode, each
+# vertex's ("()" off the cut vertices); kids, each cut vertex's child blocks',
+# sorted; bcode, each block's.  With them: home, each vertex's block towards
+# the centre; top, each block's top vertex (both -1 at the centre); depth, each
+# block's distance from the centre; cv and cb, the centre if it is a cut vertex
+# or a block, else -1; and r, the depth of the deepest blocks.
+_Peel = namedtuple("_Peel", "code vcode kids home bcode top depth cv cb r")
 
 
 def _code(n: int, rings: Rings) -> str:

@@ -15,7 +15,7 @@ class's stored rings.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .graphs import CYCLE, CactusProfile, Graph, edge_components
 

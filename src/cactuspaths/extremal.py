@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from ._record import Record
-from .census import canonical_key, census_rows, row_graph, row_rings
+from .census import _RowGraphs, canonical_key, census_rows, checked_rings, keyed_census
 from .families import (
     balanced_saw,
     cycle_graph,
@@ -34,43 +34,13 @@ def _evaluate(
     n: int, k: int, rows: Iterable[bytes], passes: dict[str, Callable[[int, Rings], int]]
 ) -> dict[str, list[int]]:
     """Every pass of passes (a ring counter, or _end_triangle) over every
-    census class, by name.  Each class comes as its census row
-    (census_rows), decoded once to hung rings that the passes read as they
-    are, with no graph and no block-cut tree built.  Each row is first
-    checked against n and k in O(its length): its lengths must give n
-    vertices, n - 1 + k edges and k cycles, and each block must hang from a
-    vertex hung before it, else AssertionError."""
+    census class, by name, each class read once from its census row as hung
+    rings (checked_rings), with no graph and no block-cut tree built."""
     values: dict[str, list[int]] = {name: [] for name in passes}
-    for row in rows:
-        lengths = row[1::2]
-        rings = row_rings(n, row)
-        # a block of length 2 is a pendant edge, a longer one a cycle with as
-        # many edges, and each adds its length - 1 vertices to its top
-        pendants = lengths.count(2)
-        shape = 1 + sum(lengths) - len(lengths), sum(lengths) - pendants, len(lengths) - pendants
-        hung = min(lengths, default=2) >= 2 and all(ring[0] < ring[1] for ring in rings)
-        if shape != (n, n - 1 + k, k) or not hung:
-            raise AssertionError(f"census row {row.hex()} does not match n={n}, k={k}")
+    for rings in checked_rings(n, k, rows):
         for name, run in passes.items():
             values[name].append(run(n, rings))
     return values
-
-
-class _RowGraphs(Record, Sequence[Graph]):
-    """A census's classes as graphs, each built from its row when it is read
-    and not kept, so that a report holds no graph.  Views over equal rows
-    are equal, and a slice is the view over the sliced rows."""
-
-    n: int
-    rows: tuple[bytes, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int | slice) -> Graph | _RowGraphs:
-        if isinstance(i, slice):
-            return _RowGraphs(self.n, self.rows[i])
-        return row_graph(self.n, self.rows[i])
 
 
 class ArgEntry(Record):
@@ -113,11 +83,7 @@ def extremal_sweep(
     and k cycles and report the extremes with their complete argmin/argmax
     sets."""
     _known((invariant,))
-    # in enumerate_cacti's order, each class keyed once; a census holds one
-    # row per class, so no two keys tie and no two rows are compared
-    keys, rows = zip(
-        *sorted((canonical_key(row_graph(n, row)), row) for row in census_rows(n, k, guard))
-    )
+    keys, rows = keyed_census(n, k, guard)  # in enumerate_cacti's order
     census = _RowGraphs(n, rows)
     values = _evaluate(n, k, rows, {invariant: ring_counters()[invariant]})[invariant]
     lo, hi = min(values), max(values)
@@ -240,12 +206,12 @@ def verify_theorems(
     # a census holds one row per class, so two sets of its classes compare
     # by census index, and a class is built and keyed only where it is
     # compared with a named family
-    rows = census_rows(n, k, guard=guard) if invariants else ()
+    census = _RowGraphs(n, census_rows(n, k, guard=guard) if invariants else ())
     counters = ring_counters()
     passes = {inv: counters[inv] for inv in invariants}
     if "pn" in invariants and k >= 1:  # the pn minimum is compared with these
         passes["end_triangle"] = _end_triangle
-    values = _evaluate(n, k, rows, passes)
+    values = _evaluate(n, k, census.rows, passes)
     keys: dict[Graph, bytes] = {}
 
     def key(g: Graph) -> bytes:
@@ -256,7 +222,7 @@ def verify_theorems(
         return keys[g]
 
     def keys_at(at: list[int]) -> set[bytes]:
-        return {key(row_graph(n, rows[i])) for i in at}
+        return {key(census[i]) for i in at}
 
     def side(inv: str, name: str) -> tuple[int, list[int], str]:
         """One side ("min" or "max") of an invariant: its value, the census
@@ -271,7 +237,7 @@ def verify_theorems(
         value = tree_path_count(n)
         constant = min(values["pn"]) == max(values["pn"]) == value
         checks.append(
-            Check("pn_trees_constant", True, constant, f"all {len(rows)} trees have pn {value}")
+            Check("pn_trees_constant", True, constant, f"all {len(census)} trees have pn {value}")
         )
     if "pn" in invariants and k >= 1:
         top, at, detail = side("pn", "max")

@@ -12,10 +12,10 @@ as an exact rational, only for the reconciliation report.
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import TYPE_CHECKING
 
 from ._record import Record
 
+TYPE_CHECKING = False  # typing's own flag would cost importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 

@@ -375,12 +375,7 @@ class BlockCutTree(Record):
             for v in b.vertices:
                 node[v] = cut_id.get(v, i)
         return RootedBlockCutTree(
-            parent=tuple(parent),
-            order=tuple(order),
-            depth=tuple(depth),
-            node=tuple(node),
-            cuts=cuts,
-            rings=tuple(rings),
+            tuple(parent), tuple(order), tuple(depth), tuple(node), cuts, tuple(rings)
         )
 
 

@@ -11,7 +11,7 @@ census class's rings as the census stores them.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from ._record import Record
 from .counting import BudgetExceededError, count_paths, ring_path_count, work_budget

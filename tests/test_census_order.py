@@ -70,11 +70,17 @@ def test_a_census_is_held_once_in_one_order():
     census = enumerate_cacti(7, 2)
     assert census_rows(7, 2) is cold
     # enumerate_cacti is the graphs of the cached rows, sorted
-    assert census == tuple(sorted((row_graph(7, row) for row in cold), key=canonical_key))
+    assert tuple(census) == tuple(sorted((row_graph(7, row) for row in cold), key=canonical_key))
 
 
 def test_a_sweep_reports_the_census_of_enumerate_cacti():
     assert list(extremal_sweep(9, 2, "pn").census) == list(enumerate_cacti(9, 2))
+
+
+def test_enumerate_cacti_and_a_sweep_share_one_census_view():
+    for n, k in _cells(9):
+        census, swept = enumerate_cacti(n, k), extremal_sweep(n, k, "pn").census
+        assert census == swept and census[1:] == swept[1:]
 
 
 def _keyed(monkeypatch):
@@ -86,6 +92,7 @@ def _keyed(monkeypatch):
         return canonical_key(g)
 
     monkeypatch.setattr(extremal, "canonical_key", counted)
+    monkeypatch.setattr(census_module, "canonical_key", counted)
     return keyed
 
 
@@ -118,6 +125,14 @@ def test_no_census_graph_outlives_its_call():
     del census
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
+
+
+def test_a_graph_read_from_a_census_is_freed_while_the_census_lives():
+    census = enumerate_cacti(8, 2)
+    ref = weakref.ref(census[0])
+    gc.collect()
+    assert ref() is None
+    assert census[0] == census[0] and len(census) == 65
 
 
 def test_verify_guard_binds_the_same_censuses_cold_and_after_a_sweep(capsys):

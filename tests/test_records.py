@@ -190,3 +190,20 @@ def test_importing_the_package_loads_no_dataclasses_inspect_or_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_importing_the_package_loads_no_typing_or_random():
+    # -S, since site imports both before any user code
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cactuspaths, cactuspaths.cli\n"
+        "print(sorted({'typing', 'random'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

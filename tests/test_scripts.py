@@ -2,6 +2,7 @@
 and prints a line that its own checks or the census fix.  A bad argument
 exits 2, as argparse does, before any work."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -100,3 +101,19 @@ def test_reconcile_ptc_rejects_a_grid_with_no_ptc(args):
     assert proc.stdout == ""
     assert "error: the grid holds no PTC(n, k)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_reconcile_ptc_prints_the_table_of_cactuspaths_reconcile_byte_for_byte():
+    grid = ["--n-min", "5", "--n-max", "9", "--k-max", "3"]
+    src = str(SCRIPTS.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script, cli = (
+        subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        for argv in (
+            [sys.executable, str(SCRIPTS / "reconcile_ptc.py"), *grid],
+            [sys.executable, "-m", "cactuspaths", "reconcile", *grid],
+        )
+    )
+    assert script.returncode == cli.returncode == 0, (script.stderr, cli.stderr)
+    assert script.stdout == cli.stdout
+    assert script.stdout.startswith(b"n,k,") and b"\r" not in script.stdout
