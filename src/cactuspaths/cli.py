@@ -281,6 +281,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, CensusSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:  # a census too large for memory, before its guard binds
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
     except (GraphError, TransformError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -19,10 +19,10 @@ from __future__ import annotations
 import io
 import json
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import islice
-from operator import attrgetter
+from itertools import chain, islice
+from operator import attrgetter, itemgetter
 
 from ._record import Record
 
@@ -340,7 +340,9 @@ class BlockCutTree(Record):
     def rooted(self) -> "RootedBlockCutTree":
         """The tree with integer node ids, rooted at block 0, with its
         blocks as Rings hung from block 0's first vertex, which on a
-        connected graph is vertex 0."""
+        connected graph is vertex 0.  A depth-first walk: order is the
+        preorder from block 0 with each node's children in id order, so
+        every subtree is one run of order, and of rings."""
         blocks = self.blocks
         nblocks = len(blocks)
         cuts = tuple(sorted(self.cut_vertices))
@@ -348,25 +350,36 @@ class BlockCutTree(Record):
         size = nblocks + len(cuts)
         parent = [-1] * size
         depth = [0] * size
-        order = [0] if size else []
-        rings = [blocks[0].vertices] if size else []  # in order, parents first
-        for x in order:  # grows while it is read: a breadth-first walk
+        order = []
+        rings = []  # in order, parents first
+        incidence, at = self.incidence, self.blocks_of_cut_vertex
+        stack = [0] if size else []
+        pop, push, visit, hang = stack.pop, stack.append, order.append, rings.append
+        while stack:
+            x = pop()
+            visit(x)
+            p = parent[x]
+            d = depth[x] + 1
+            # each child is pushed in decreasing id order, so the least is
+            # popped first
             if x < nblocks:
-                nbrs = [cut_id[v] for v in self.incidence[x]]
+                ring, top = blocks[x].vertices, -1
+                if x:
+                    top = cuts[p - nblocks]  # the cut vertex x hangs at
+                    ring = _hung(ring, top)
+                hang(ring)
+                for v in reversed(incidence[x]):
+                    if v != top:
+                        y = cut_id[v]
+                        parent[y] = x
+                        depth[y] = d
+                        push(y)
             else:
-                top = cuts[x - nblocks]
-                nbrs = self.blocks_of_cut_vertex[top]
-            for y in nbrs:
-                if y != parent[x]:
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    order.append(y)
-                    if y < nblocks:  # a block hung at the cut vertex x
-                        ring = blocks[y].vertices
-                        if ring[0] != top:
-                            i = ring.index(top)
-                            ring = ring[i:] + ring[:i]
-                        rings.append(ring)
+                for y in reversed(at[cuts[x - nblocks]]):
+                    if y != p:
+                        parent[y] = x
+                        depth[y] = d
+                        push(y)
         rings.reverse()
         # every vertex lies at exactly one node: a cut vertex at its own,
         # any other vertex at its one block
@@ -389,11 +402,32 @@ class RootedBlockCutTree(Record):
     """
 
     parent: tuple[int, ...]  # -1 at the root
-    order: tuple[int, ...]  # breadth-first from the root: parents first
+    # depth-first preorder from the root, children in id order: parents
+    # first, and each subtree one contiguous run
+    order: tuple[int, ...]
     depth: tuple[int, ...]
     node: tuple[int, ...]
     cuts: tuple[int, ...]  # node B + j is the cut vertex cuts[j]
     rings: Rings
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """The nodes in each node's subtree: the subtree of order[i] is
+        order[i:i + sizes[order[i]]].  patch_cactus carries it to the tree
+        it derives; a tree built from scratch counts it on first read."""
+        parent = self.parent
+        size = [1] * len(parent)
+        for x in reversed(self.order[1:]):
+            size[parent[x]] += size[x]
+        return tuple(size)
+
+    @cached_property
+    def block_mask(self) -> bytes:
+        """1 at each index of order that holds a block, else 0: the blocks in
+        order[i:j] are rings' entries B - r - c to B - r, with r = the count
+        of 1s before i and c the count in i..j.  Carried as sizes is."""
+        nblocks = len(self.rings)
+        return bytes(x < nblocks for x in self.order)
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -693,6 +727,10 @@ def patch_cactus(
 
     Only a vertex of H' can change its cut status, and only a block of H'
     its incidence; the new profile reads the rest off the new tree.
+
+    The new tree comes with its rooted tree when its block 0 has the edges
+    of the old one's, derived from tree.rooted by _spliced; when block 0
+    changes, tree.rooted is built from scratch on first read.
     """
     tree = profile.tree
     rooted = tree.rooted
@@ -758,21 +796,240 @@ def patch_cactus(
     incidence = list(tree.incidence)
     for i in reversed(gone):
         del blocks[i], incidence[i]
+    placed = []  # the new id of each fresh block
     j = 0
     for b in fresh:  # in edge order, so each lands after the one before
         j = bisect_left(blocks, b.edges, lo=j, key=_edges_of)
         blocks.insert(j, b)
         incidence.insert(j, tuple(sorted(x for x in b.vertices if x in cuts)))
-    patched = CactusProfile(
-        after,
-        BlockCutTree(
-            tuple(blocks),
-            tree.cut_vertices.difference(verts).union(cuts),
-            tuple(incidence),
-        ),
+        placed.append(j)
+    new = BlockCutTree(
+        tuple(blocks), tree.cut_vertices.difference(verts).union(cuts), tuple(incidence)
     )
+    patched = CactusProfile(after, new)
     _check_rank(patched)
+    if blocks[0].edges == tree.blocks[0].edges:  # the root keeps its place
+        new.__dict__["rooted"] = _spliced(tree, new, region, top, gone, placed, verts)
     return patched
+
+
+def _spliced(
+    tree: BlockCutTree, new: BlockCutTree, region, top: int, gone, placed, verts
+) -> RootedBlockCutTree:
+    """new.rooted, derived from tree.rooted in the region S that patch_cactus
+    re-decomposed (the set region of tree.rooted's nodes, with top its top
+    node): new is tree with the blocks `gone` (ids of tree) replaced by the
+    blocks at the ids `placed` of new, whose vertices are verts, and new's
+    block 0 has the edges of tree's.
+
+    Let a be the node of tree.rooted above which nothing changes: top if top
+    is a cut node or the root, else top's parent, a cut vertex that lies on
+    a block outside S.  The nodes of new about S (its blocks of S, old and
+    fresh, and the cut vertices on them) form a subtree of new.rooted with
+    a at its top.  Every other node in a's subtree hangs below one of those
+    cut vertices, inside a unit: a block outside S and its subtree, the same
+    in both trees.  So only a's run of order and of rings is new: a
+    depth-first walk of the nodes about S, which copies each unit's runs
+    whole and shifts its depths by how far its cut vertex moved.  The runs
+    before and after a's are tree.rooted's, and every array indexed by node
+    id is tree.rooted's with its ids remapped, since the blocks keep their
+    edge order and the cut vertices theirs.  When no node changes its id or
+    its neighbours, as when shrink moves a vertex between two cycles,
+    _rehung only swaps in the new rings and nodes.
+    """
+    old = tree.rooted
+    parent, order, depth, sizes, rings = old.parent, old.order, old.depth, old.sizes, old.rings
+    mask = old.block_mask
+    blocks, incidence = new.blocks, new.incidence
+    nblocks, nnew = len(tree.blocks), len(blocks)
+    was, now = tree.cut_vertices, new.cut_vertices
+    turned = sorted(was.intersection(verts).symmetric_difference(now.intersection(verts)))
+    cuts = list(old.cuts)
+    lost = [bisect_left(cuts, v) for v in turned if v in was]
+    for i in reversed(lost):
+        del cuts[i]
+    gained = []
+    for v in turned:
+        if v in now:
+            gained.append(bisect_left(cuts, v))
+            cuts.insert(gained[-1], v)
+    if gone == placed and not turned and all(incidence[b] == tree.incidence[b] for b in placed):
+        return _rehung(old, new, placed)  # the same tree
+    # each array indexed by node id, with each kept node's entry at its new
+    # id and 0 at each new node; then its ids renamed
+    shape = (nblocks, gone, lost, nnew, placed, gained)
+    new_parent, new_depth, new_sizes = (_reindexed(v, *shape) for v in (parent, depth, sizes))
+    if gone == placed and not turned:  # no node changes its id
+        new_id, renamed, node = range(len(new_parent)), order, [*old.node]
+    else:
+        # new_id[x] is the id in new of the node x of tree, -1 if it is gone
+        new_id = _reindexed(range(len(new_parent)), nnew, placed, gained, nblocks, gone, lost, -1)
+        new_parent = [*_gather(new_parent)(new_id)]
+        renamed = _gather(order)(new_id)
+        node = [*_gather(old.node)(new_id)]
+    new_parent[0] = -1  # block 0 may be fresh
+
+    head = parent[top] if 0 < top < nblocks else top  # the node a
+    start = order.index(head)
+    end = start + sizes[head]
+    # a's run of order, as the nodes about S and the units: a unit is filed
+    # under its cut vertex with its run of order and of rings, the blocks in
+    # reversed order (with r blocks before it in order, rings[B - r - c:B - r])
+    units: dict[int, list[tuple[int, int, int]]] = {}
+    r = before = mask.count(1, 0, start)
+    i = start
+    while i < end:
+        x = order[i]
+        if x < nblocks and x not in region:
+            j = i + sizes[x]
+            units.setdefault(old.cuts[parent[x] - nblocks], []).append((i, j, nblocks - r))
+            r += mask.count(1, i, j)
+            i = j
+        else:
+            r += x < nblocks
+            i += 1
+
+    # the blocks about S, at each cut vertex on them
+    about: dict[int, list[int]] = {}
+    for b in (*placed, *(new_id[i] for i in region if i < nblocks and i not in gone)):
+        for v in incidence[b]:
+            about.setdefault(v, []).append(b)
+    cut_id = {v: nnew + bisect_left(cuts, v) for v in about}
+
+    run: list[int] = []  # a's new run of order
+    flags = bytearray()  # its block_mask
+    pieces: list[Rings] = []  # its rings, a tuple per node about S or unit, in order
+    walked = []  # the nodes about S, in order
+    a = new_id[head] if head else 0
+    stack: list = [a]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x = pop()
+        if x.__class__ is tuple:  # a unit below the cut node p
+            p, i, j, hi = x
+            ids = renamed[i:j]
+            run += ids
+            flags += mask[i:j]
+            pieces.append(rings[hi - mask.count(1, i, j) : hi])
+            new_sizes[p] += j - i
+            shift = new_depth[p] + 1 - depth[order[i]]
+            if shift:
+                for y in ids:
+                    new_depth[y] += shift
+            continue
+        run.append(x)
+        walked.append(x)
+        new_sizes[x] = 1
+        p = new_parent[x]
+        d = new_depth[x] + 1
+        if x < nnew:
+            flags.append(1)
+            ring, hub = blocks[x].vertices, -1
+            if x:
+                hub = cuts[p - nnew]  # the cut vertex x hangs at
+                ring = _hung(ring, hub)
+            pieces.append((ring,))
+            for v in reversed(incidence[x]):
+                if v != hub:
+                    y = cut_id[v]
+                    new_parent[y] = x
+                    new_depth[y] = d
+                    push(y)
+        else:
+            flags.append(0)
+            v = cuts[x - nnew]
+            # the blocks about S and the units here, by their ids
+            kids = [(y, y) for y in about[v] if y != p]
+            kids += [(renamed[i], (x, i, j, hi)) for i, j, hi in units.get(v, ())]
+            kids.sort(reverse=True)
+            for y, item in kids:
+                if y is item:
+                    new_parent[y] = x
+                    new_depth[y] = d
+                push(item)
+    for x in reversed(walked[1:]):
+        new_sizes[new_parent[x]] += new_sizes[x]
+    grew = new_sizes[a] - sizes[head]
+    if grew:
+        x = new_parent[a]
+        while x >= 0:
+            new_sizes[x] += grew
+            x = new_parent[x]
+
+    for b in placed:
+        for v in blocks[b].vertices:
+            node[v] = cut_id[v] if v in now else b
+    pieces.reverse()
+    rooted = RootedBlockCutTree(
+        tuple(new_parent),
+        (*renamed[:start], *run, *renamed[end:]),
+        tuple(new_depth),
+        tuple(node),
+        tuple(cuts),
+        (*rings[: nblocks - r], *chain.from_iterable(pieces), *rings[nblocks - before :]),
+    )
+    rooted.__dict__["sizes"] = tuple(new_sizes)
+    rooted.__dict__["block_mask"] = mask[:start] + flags + mask[end:]
+    return rooted
+
+
+def _rehung(old: RootedBlockCutTree, new: BlockCutTree, placed) -> RootedBlockCutTree:
+    """new.rooted when each block of new at an id of `placed` lies on the
+    same cut vertices as the block at that id of old's tree, and the other
+    blocks and the cut vertices are the same: the same tree, with only
+    those blocks' rings and their other vertices' nodes new."""
+    nblocks = len(new.blocks)
+    node, rings = [*old.node], [*old.rings]
+    for b in placed:
+        ring = new.blocks[b].vertices
+        for v in ring:
+            if v not in new.cut_vertices:
+                node[v] = b
+        if b:  # hung at its cut vertex
+            ring = _hung(ring, old.cuts[old.parent[b] - nblocks])
+        rings[nblocks - 1 - old.block_mask.count(1, 0, old.order.index(b))] = ring
+    rooted = RootedBlockCutTree(
+        old.parent, old.order, old.depth, tuple(node), old.cuts, tuple(rings)
+    )
+    rooted.__dict__["sizes"] = old.sizes
+    rooted.__dict__["block_mask"] = old.block_mask
+    return rooted
+
+
+def _hung(ring: tuple[int, ...], top: int) -> tuple[int, ...]:
+    """ring rotated to start at its vertex top."""
+    if ring[0] == top:
+        return ring
+    i = ring.index(top)
+    return ring[i:] + ring[:i]
+
+
+def _gather(ids) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The function from values to the tuple of values[i] for each i of
+    ids: one C-level pass per call."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    return lambda values: tuple(values[i] for i in ids)
+
+
+def _reindexed(
+    values: Sequence[int], nb: int, gone, lost, nb2: int, placed, gained, fill: int = 0
+) -> list[int]:
+    """values, indexed by the node ids of a tree with nb blocks, as a list
+    indexed by those of one with nb2 blocks: without the entries of the
+    blocks at the sorted ids `gone` and of the cut nodes nb + i for i in
+    `lost`, and with fill at the blocks `placed` and at the cut nodes
+    nb2 + j for j in `gained`."""
+    out = [*values]
+    for i in reversed(lost):
+        del out[nb + i]
+    for i in reversed(gone):
+        del out[i]
+    for j in placed:
+        out.insert(j, fill)
+    for j in gained:
+        out.insert(nb2 + j, fill)
+    return out
 
 
 def _local_blocks(tree: BlockCutTree, gone, rims, n: int, removed, added):

@@ -31,7 +31,10 @@ and pn on explicitly: each _step derives the profile of the graph it builds
 from the one before with graphs.patch_cactus, which re-decomposes only the
 blocks that the step's edges touch and stands a star in for each connected
 run of untouched blocks between them (so shrink and balance decompose their
-two cycles, not the chain between them), and counts the new pn once.
+two cycles, not the chain between them), and counts the new pn once.  The
+patch carries tree.rooted too, spliced in the region it re-decomposes, so a
+driver builds the rooted tree from scratch only for its input and for a
+step that changes block 0, the root.
 
 A driver logs each step as a move, (rule, pn after, edges removed, edges
 added), and drops the step's graph at the next step.  It returns a
@@ -285,12 +288,16 @@ def _shrink_interior_cycle(profile: CactusProfile) -> _Move:
 
     # a vertex off the ring is on the side of the cut vertex its node hangs by
     label = _neighbour_labels(profile.tree.rooted, c_idx)
-    sides: dict[int, list[int]] = {}
+    sides: dict[int, list[int]] = {}  # each side's vertex count and least vertex
     for x, node in enumerate(profile.tree.rooted.node):
         if x not in ring:
-            sides.setdefault(label[node], []).append(x)
+            y = label[node]
+            if y in sides:
+                sides[y][0] += 1
+            else:
+                sides[y] = [1, x]
     assert len(sides) == 2, "an interior cycle splits a chain into two sides"
-    side = min(sides, key=lambda y: (len(sides[y]), sides[y][0]))
+    side = min(sides, key=sides.__getitem__)
     end_block = next(blocks[i] for i in profile.end_cycles if label[i] == side)
     u, v, w, a, b = _transfer(profile, blocks[c_idx], end_block)
     return [(u, v), (u, w), (a, b)], [(u, a), (u, b), (v, w)]

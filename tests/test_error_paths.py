@@ -3,9 +3,9 @@ with the documented exception, message or exit code."""
 
 import pytest
 
-from cactuspaths import cli
+from cactuspaths import census, cli
 from cactuspaths.census import all_graphs, cactus_census_sizes, count_automorphisms
-from cactuspaths.cli import EXIT_INVALID, EXIT_OK, EXIT_VERIFY, main
+from cactuspaths.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, EXIT_VERIFY, main
 from cactuspaths.counting import BudgetExceededError, count_paths, cycles_on_route
 from cactuspaths.families import (
     FamilySpec,
@@ -176,3 +176,16 @@ def test_pn_check_reports_a_divergence(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     assert captured.out == "fast 26\noracle 25\n"
     assert captured.err == "counter divergence: fast != oracle\n"
+
+
+def test_a_census_that_runs_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(n, k, limit):
+        raise MemoryError
+
+    monkeypatch.setattr(census, "_grow", exhausted)
+    census.clear_caches()
+    code = main(["verify", "--n", "8", "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
