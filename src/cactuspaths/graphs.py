@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 import json
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import chain, islice
@@ -528,11 +528,18 @@ def _close_block(raw: list[tuple[int, int]], top: int) -> Block:
     for a, b in raw[:-1]:
         cur = b if a == cur else a
         ring.append(cur)
-    i = ring.index(min(ring))  # start at the least vertex and step
-    ring = ring[i:] + ring[:i]  # first to its smaller neighbour
+    return Block(CYCLE, _canonical(ring), edges)
+
+
+def _canonical(ring: list[int]) -> tuple[int, ...]:
+    """A cycle's vertices, given in cyclic order, as its Block lists them:
+    from its least vertex, stepping first to that vertex's smaller
+    neighbour."""
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
     if ring[-1] < ring[1]:
         ring[1:] = ring[:0:-1]
-    return Block(CYCLE, tuple(ring), edges)
+    return tuple(ring)
 
 
 class CactusProfile(Record):
@@ -728,16 +735,114 @@ def patch_cactus(
     Only a vertex of H' can change its cut status, and only a block of H'
     its incidence; the new profile reads the rest off the new tree.
 
-    The new tree comes with its rooted tree when its block 0 has the edges
-    of the old one's, derived from tree.rooted by _spliced; when block 0
-    changes, tree.rooted is built from scratch on first read.
+    A vertex transfer, the step of shrink and balance, is not decomposed
+    at all: when `removed` is {uv, uw, ab} and `added` is {vw, ua, ub}, u
+    lies on no block but a cycle C of length >= 4 in which v and w are its
+    ring neighbours, and ab is an edge of another cycle E with a or b on E
+    alone, the new blocks are C's ring without u and E's ring with u
+    between a and b (_transfer_blocks), and nothing else changes: the cut
+    set, the two blocks' incidence and every other block stay as they
+    were.  An edit of any other shape takes the general path.
+
+    The new blocks are spliced in among the old ones, which keep their edge
+    order.  The new tree comes with its rooted tree when its block 0 has
+    the edges of the old one's: when every node keeps its id and its
+    neighbours, as when a transfer moves neither block in that order,
+    _rehung swaps in the new rings, and otherwise _spliced derives it from
+    tree.rooted; when block 0 changes, tree.rooted is built from scratch on
+    first read.  A tree whose every node keeps its id and its neighbours
+    also keeps the old tree's blocks_of_cut_vertex, if that was built.
     """
     tree = profile.tree
     rooted = tree.rooted
-    parent, depth = rooted.parent, rooted.depth
     nblocks = len(tree.blocks)
+    transfer = _transfer_blocks(tree, removed, added)
+    if transfer:
+        gone, fresh = transfer
+        region, verts, cut_set, kept = None, (), tree.cut_vertices, True
+    else:
+        terminals = [rooted.node[x] for e in (*removed, *added) for x in e]
+        top, region = _subtree(rooted, terminals)
+        parent = rooted.parent
+        near: dict[int, list[int]] = {t: [] for t in region}  # neighbours in S
+        for t in region:
+            if t != top:
+                near[t].append(parent[t])
+                near[parent[t]].append(t)
 
-    terminals = [rooted.node[x] for e in (*removed, *added) for x in e]
+        fixed = set(terminals)
+        free = {
+            t for t, ts in near.items() if t < nblocks and t not in fixed and fixed.isdisjoint(ts)
+        }
+        rims = []  # the rim of each run of free blocks
+        seen = set()
+        for b in sorted(free):
+            if b in seen:
+                continue
+            seen.add(b)
+            rim, stack = [], [b]
+            while stack:
+                for c in near[stack.pop()]:
+                    if not free.issuperset(near[c]):
+                        rim.append(rooted.cuts[c - nblocks])
+                        continue
+                    for y in near[c]:  # c joins its free blocks into the run
+                        if y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+            rims.append(rim)
+
+        gone = sorted(i for i in region if i < nblocks and i not in free)
+        local = _local_blocks(tree, gone, rims, after.n, removed, added)
+        if local is None:  # a star edge lies on a cycle: decompose all of S
+            gone = sorted(i for i in region if i < nblocks)
+            local = _local_blocks(tree, gone, (), after.n, removed, added)
+        verts, new_blocks, cuts = local
+        _refuse_non_cactus(new_blocks)
+
+        # a vertex of H' that lies on a block outside S keeps that block, so
+        # it stays a cut vertex
+        was = tree.cut_vertices.intersection(verts)
+        cuts.update(
+            x for x in was if any(i not in region for i in tree.blocks_of_cut_vertex[x])
+        )
+        fresh = [(b, tuple(sorted(x for x in b.vertices if x in cuts))) for b in new_blocks]
+        cut_set = tree.cut_vertices.difference(verts).union(cuts)
+        kept = cuts == was  # no vertex changes its cut status
+
+    # splice the new blocks in among the others, which are still sorted by edges
+    blocks = list(tree.blocks)
+    incidence = list(tree.incidence)
+    for i in reversed(gone):
+        del blocks[i], incidence[i]
+    placed = []  # the new id of each fresh block
+    j = 0
+    for b, cut_on in fresh:  # in edge order, so each lands after the one before
+        j = bisect_left(blocks, b.edges, lo=j, key=_edges_of)
+        blocks.insert(j, b)
+        incidence.insert(j, cut_on)
+        placed.append(j)
+    new = BlockCutTree(tuple(blocks), cut_set, tuple(incidence))
+    patched = CactusProfile(after, new)
+    _check_rank(patched)
+    # the same tree: every node keeps its id and its neighbours
+    same = kept and gone == placed and all(incidence[b] == tree.incidence[b] for b in placed)
+    if same and "blocks_of_cut_vertex" in tree.__dict__:
+        new.__dict__["blocks_of_cut_vertex"] = tree.blocks_of_cut_vertex
+    if blocks[0].edges == tree.blocks[0].edges:  # the root keeps its place
+        if same:
+            new.__dict__["rooted"] = _rehung(rooted, new, placed)
+        else:
+            if region is None:
+                top, region = _subtree(rooted, gone)
+            new.__dict__["rooted"] = _spliced(tree, new, region, top, gone, placed, verts)
+    return patched
+
+
+def _subtree(rooted: RootedBlockCutTree, terminals) -> tuple[int, set[int]]:
+    """The top node and the nodes of the smallest subtree of rooted that
+    holds every node of terminals."""
+    parent, depth = rooted.parent, rooted.depth
     top = terminals[0]
     for t in terminals[1:]:  # top becomes the lowest common ancestor
         while t != top:
@@ -749,78 +854,80 @@ def patch_cactus(
         while t not in region:
             region.add(t)
             t = parent[t]
-    near: dict[int, list[int]] = {t: [] for t in region}  # neighbours in S
-    for t in region:
-        if t != top:
-            near[t].append(parent[t])
-            near[parent[t]].append(t)
+    return top, region
 
-    fixed = set(terminals)
-    free = {t for t, ts in near.items() if t < nblocks and t not in fixed and fixed.isdisjoint(ts)}
-    rims = []  # the rim of each run of free blocks
-    seen = set()
-    for b in sorted(free):
-        if b in seen:
-            continue
-        seen.add(b)
-        rim, stack = [], [b]
-        while stack:
-            for c in near[stack.pop()]:
-                if not free.issuperset(near[c]):
-                    rim.append(rooted.cuts[c - nblocks])
-                    continue
-                for y in near[c]:  # c joins its free blocks into the run
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        rims.append(rim)
 
-    gone = sorted(i for i in region if i < nblocks and i not in free)
-    local = _local_blocks(tree, gone, rims, after.n, removed, added)
-    if local is None:  # a star edge lies on a cycle: decompose all of S
-        gone = sorted(i for i in region if i < nblocks)
-        local = _local_blocks(tree, gone, (), after.n, removed, added)
-    verts, fresh, cuts = local
-    _refuse_non_cactus(fresh)
+def _transfer_blocks(tree: BlockCutTree, removed, added):
+    """The sorted ids of the two cycles C and E between which the edit
+    moves a vertex u, and their new blocks, each with its cut vertices, in
+    edge order; None if the edit is not such a move.
 
-    # a vertex of H' that lies on a block outside S keeps that block, so it
-    # stays a cut vertex
-    cuts.update(
-        x
-        for x in tree.cut_vertices.intersection(verts)
-        if any(i not in region for i in tree.blocks_of_cut_vertex[x])
-    )
-
-    # splice H's new blocks in among the others, which are still sorted by edges
-    blocks = list(tree.blocks)
-    incidence = list(tree.incidence)
-    for i in reversed(gone):
-        del blocks[i], incidence[i]
-    placed = []  # the new id of each fresh block
-    j = 0
-    for b in fresh:  # in edge order, so each lands after the one before
-        j = bisect_left(blocks, b.edges, lo=j, key=_edges_of)
-        blocks.insert(j, b)
-        incidence.insert(j, tuple(sorted(x for x in b.vertices if x in cuts)))
-        placed.append(j)
-    new = BlockCutTree(
-        tuple(blocks), tree.cut_vertices.difference(verts).union(cuts), tuple(incidence)
-    )
-    patched = CactusProfile(after, new)
-    _check_rank(patched)
-    if blocks[0].edges == tree.blocks[0].edges:  # the root keeps its place
-        new.__dict__["rooted"] = _spliced(tree, new, region, top, gone, placed, verts)
-    return patched
+    The edit must remove {uv, uw, ab} and add {vw, ua, ub}, u a vertex of C
+    alone, with C of length >= 4 and v and w its ring neighbours, and ab an
+    edge of E != C with a or b on E alone.  The other end of ab may be v or
+    w, the cut vertex that C and E share, as when shrink moves u next to it:
+    then uv or uw is both removed and added, and stays.  The new blocks hold
+    the old blocks' edge tuples and those of `added`."""
+    if len(removed) != 3 or len(added) != 3:
+        return None
+    cut = tree.cut_vertices
+    ends = [x for e in removed for x in e]
+    at_two = {x for x in ends if ends.count(x) == 2 and x not in cut}
+    if len(at_two) != 1:
+        return None
+    (u,) = at_two
+    uv, uw, ab = sorted(removed, key=lambda e: u not in e)  # the edges at u first
+    v, w = uv[uv[0] == u], uw[uw[0] == u]
+    a, b = ab
+    vw, *at_u = sorted(added, key=lambda f: u in f)  # the edge off u first
+    if {vw, *at_u} != {_normalize_edge(v, w), _normalize_edge(u, a), _normalize_edge(u, b)}:
+        return None
+    x = b if a in cut else a
+    if x in cut:
+        return None
+    node = tree.rooted.node
+    c, e = node[u], node[x]
+    source, target = tree.blocks[c], tree.blocks[e]
+    if c == e or source.kind != CYCLE or target.kind != CYCLE or len(source) < 4:
+        return None
+    ring = [*source.vertices]
+    i = ring.index(u)
+    if {ring[i - 1], ring[(i + 1) % len(ring)]} != {v, w}:
+        return None
+    del ring[i]
+    into = [*target.vertices]
+    i = into.index(a)
+    if into[i - 1] == b:
+        into.insert(i, u)
+    elif into[(i + 1) % len(into)] == b:
+        into.insert(i + 1, u)
+    else:
+        return None
+    edges = [*source.edges]
+    edges.remove(uv)
+    edges.remove(uw)
+    insort(edges, vw)
+    shrunk = Block(CYCLE, _canonical(ring), tuple(edges))
+    edges = [*target.edges]
+    edges.remove(ab)
+    for f in at_u:
+        insort(edges, f)
+    grown = Block(CYCLE, _canonical(into), tuple(edges))
+    fresh = [(shrunk, tree.incidence[c]), (grown, tree.incidence[e])]
+    if grown.edges < shrunk.edges:
+        fresh.reverse()
+    return sorted((c, e)), fresh
 
 
 def _spliced(
     tree: BlockCutTree, new: BlockCutTree, region, top: int, gone, placed, verts
 ) -> RootedBlockCutTree:
     """new.rooted, derived from tree.rooted in the region S that patch_cactus
-    re-decomposed (the set region of tree.rooted's nodes, with top its top
-    node): new is tree with the blocks `gone` (ids of tree) replaced by the
-    blocks at the ids `placed` of new, whose vertices are verts, and new's
-    block 0 has the edges of tree's.
+    re-decomposed (the set region of tree.rooted's nodes, a subtree with
+    top its top node): new is tree with the blocks `gone` (ids of tree), all
+    in S, replaced by the blocks at the ids `placed` of new, only a vertex
+    of verts changes its cut status, and new's block 0 has the edges of
+    tree's.
 
     Let a be the node of tree.rooted above which nothing changes: top if top
     is a cut node or the root, else top's parent, a cut vertex that lies on
@@ -834,8 +941,7 @@ def _spliced(
     before and after a's are tree.rooted's, and every array indexed by node
     id is tree.rooted's with its ids remapped, since the blocks keep their
     edge order and the cut vertices theirs.  When no node changes its id or
-    its neighbours, as when shrink moves a vertex between two cycles,
-    _rehung only swaps in the new rings and nodes.
+    its neighbours, patch_cactus calls _rehung instead.
     """
     old = tree.rooted
     parent, order, depth, sizes, rings = old.parent, old.order, old.depth, old.sizes, old.rings
@@ -853,8 +959,6 @@ def _spliced(
         if v in now:
             gained.append(bisect_left(cuts, v))
             cuts.insert(gained[-1], v)
-    if gone == placed and not turned and all(incidence[b] == tree.incidence[b] for b in placed):
-        return _rehung(old, new, placed)  # the same tree
     # each array indexed by node id, with each kept node's entry at its new
     # id and 0 at each new node; then its ids renamed
     shape = (nblocks, gone, lost, nnew, placed, gained)

@@ -30,11 +30,13 @@ validates its input and counts its pn once and passes each step's profile
 and pn on explicitly: each _step derives the profile of the graph it builds
 from the one before with graphs.patch_cactus, which re-decomposes only the
 blocks that the step's edges touch and stands a star in for each connected
-run of untouched blocks between them (so shrink and balance decompose their
-two cycles, not the chain between them), and counts the new pn once.  The
-patch carries tree.rooted too, spliced in the region it re-decomposes, so a
-driver builds the rooted tree from scratch only for its input and for a
-step that changes block 0, the root.
+run of untouched blocks between them, and counts the new pn once.  Shrink
+and balance move one vertex from one cycle to another, and the patch
+decomposes nothing for them: it builds the two new rings and keeps the cut
+set, the incidence and every other block.  The patch carries tree.rooted
+too, spliced in the region it changes, so a driver builds the rooted tree
+from scratch only for its input and for a step that changes block 0, the
+root.
 
 A driver logs each step as a move, (rule, pn after, edges removed, edges
 added), and drops the step's graph at the next step.  It returns a
@@ -45,14 +47,17 @@ iterating it.
 
 chain_straighten finds its branch node from per-subtree counts of branch
 nodes in one pass over tree.rooted, and one more pass labels each node with
-the neighbour of a node x through which it hangs: chain_straighten groups
-the nodes around its branch node by that label, and shrink_interior_cycle
-sorts the vertices off its cycle into its two sides by it.
+the neighbour of the branch node through which it hangs, by which it groups
+the nodes around it.  shrink_interior_cycle reads its cycle's two sides off
+runs of tree.rooted's order and rings: a child cut node's run, and all
+outside the cycle's run.  A block adds its ring's vertices but its top to a
+side, so a side's vertices are counted without a pass over the vertices.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from itertools import islice
 
@@ -284,21 +289,39 @@ def _shrink_interior_cycle(profile: CactusProfile) -> _Move:
     if not targets:
         raise TransformError("every interior cycle is already a triangle")
     c_idx = targets[0]
-    ring = blocks[c_idx].vertex_set
 
-    # a vertex off the ring is on the side of the cut vertex its node hangs by
-    label = _neighbour_labels(profile.tree.rooted, c_idx)
-    sides: dict[int, list[int]] = {}  # each side's vertex count and least vertex
-    for x, node in enumerate(profile.tree.rooted.node):
-        if x not in ring:
-            y = label[node]
-            if y in sides:
-                sides[y][0] += 1
-            else:
-                sides[y] = [1, x]
+    # The cycle's two cut vertices split the chain into two sides: below a
+    # child cut node, that node's run of the tree's order, and above the
+    # parent cut node, all outside the cycle's run.  Every vertex but the
+    # root's top is a non-top vertex of exactly one ring, so a side has as
+    # many vertices as its blocks' rings have non-top vertices: above the
+    # cycle, its cut vertex there is counted in place of the root's top.
+    rooted = profile.tree.rooted
+    order, sizes, rings, mask = rooted.order, rooted.sizes, rooted.rings, rooted.block_mask
+    nblocks = len(blocks)
+    sides = []  # (vertex count, rings, cut vertex on the cycle, run of order, inside the run)
+    for hub in profile.tree.incidence[c_idx]:
+        x = nblocks + bisect_left(rooted.cuts, hub)
+        inside = x != rooted.parent[c_idx]
+        if not inside:
+            x = c_idx
+        i = order.index(x)
+        run = range(i, i + sizes[x])
+        hi = nblocks - mask.count(1, 0, i)  # the run's blocks have the rings [lo:hi]
+        lo = hi - mask.count(1, i, run.stop)
+        ring_run = rings[lo:hi] if inside else rings[:lo] + rings[hi:]
+        sides.append((sum(map(len, ring_run)) - len(ring_run), ring_run, hub, run, inside))
     assert len(sides) == 2, "an interior cycle splits a chain into two sides"
-    side = min(sides, key=sides.__getitem__)
-    end_block = next(blocks[i] for i in profile.end_cycles if label[i] == side)
+
+    def least(side) -> int:
+        _, ring_run, hub, _, _ = side
+        return min(x for ring in ring_run for x in ring if x != hub)
+
+    # u goes to the side with fewer vertices, then to the one with the
+    # lesser least vertex
+    key = least if sides[0][0] == sides[1][0] else operator.itemgetter(0)
+    _, _, _, run, inside = min(sides, key=key)
+    end_block = next(blocks[e] for e in profile.end_cycles if (order.index(e) in run) == inside)
     u, v, w, a, b = _transfer(profile, blocks[c_idx], end_block)
     return [(u, v), (u, w), (a, b)], [(u, a), (u, b), (v, w)]
 
