@@ -329,14 +329,6 @@ class BlockCutTree(Record):
     incidence: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def blocks_of_cut_vertex(self) -> dict[int, tuple[int, ...]]:
-        at: dict[int, list[int]] = {v: [] for v in self.cut_vertices}
-        for i, cuts in enumerate(self.incidence):
-            for v in cuts:
-                at[v].append(i)
-        return {v: tuple(ids) for v, ids in at.items()}
-
-    @cached_property
     def rooted(self) -> "RootedBlockCutTree":
         """The tree with integer node ids, rooted at block 0, with its
         blocks as Rings hung from block 0's first vertex, which on a
@@ -352,7 +344,11 @@ class BlockCutTree(Record):
         depth = [0] * size
         order = []
         rings = []  # in order, parents first
-        incidence, at = self.incidence, self.blocks_of_cut_vertex
+        incidence = self.incidence
+        at: list[list[int]] = [[] for _ in cuts]  # the blocks at each cut vertex
+        for i, on in enumerate(incidence):
+            for v in on:
+                at[cut_id[v] - nblocks].append(i)
         stack = [0] if size else []
         pop, push, visit, hang = stack.pop, stack.append, order.append, rings.append
         while stack:
@@ -375,7 +371,7 @@ class BlockCutTree(Record):
                         depth[y] = d
                         push(y)
             else:
-                for y in reversed(at[cuts[x - nblocks]]):
+                for y in reversed(at[x - nblocks]):
                     if y != p:
                         parent[y] = x
                         depth[y] = d
@@ -711,29 +707,12 @@ def patch_cactus(
     of `after`, `after` is connected exactly when H = (edges of S's blocks -
     removed + added) is, and the other blocks of `after` are the blocks of H.
 
-    Much of S may be untouched.  Call a block of S free when neither it nor
-    any of its neighbours in S is a terminal: no vertex of a free block is
-    an endpoint of a removed or added edge.  The free blocks make up
-    connected runs, joined through the cut vertices whose neighbours in S
-    are all free; the other cut vertices next to a run are its rim.  Every
-    leaf of S is a terminal, so a run has at least two rim vertices, and
-    each of them also lies on a block of S that is not free.  H' stands
-    each run in by a star: a fresh vertex joined to every rim vertex.  A
-    run is connected and meets the rest of H only at its rim, so H' is
-    connected exactly when H is.  If every star edge is a bridge of H', no
-    cycle of H leaves the run, so the run's blocks are blocks of `after`
-    and the other blocks of H are those of H' without the star edges; a
-    block of H' that is not an edge or a cycle is one of H, in the same
-    edge order.  A rim vertex keeps every edge, so it stays a cut vertex,
-    and no block of the run changes its incidence.  When a star edge lies
-    on a cycle of H' (an added edge closes a cycle through the run), H is
-    decomposed whole instead.
-
-    H' keeps the graph's labels, with the star centres numbered from
-    after.n up, and block_cut_tree's walk decomposes it as it is.
-
-    Only a vertex of H' can change its cut status, and only a block of H'
-    its incidence; the new profile reads the rest off the new tree.
+    H keeps the graph's labels, and block_cut_tree's walk decomposes it as
+    it is.  Only a vertex of H can change its cut status, and only a block
+    of H its incidence; the new profile reads the rest off the new tree.  A
+    cut vertex that lies on a block outside S keeps that block, so it stays
+    a cut vertex: its node is outside S, or is S's top, or has a child
+    outside S.
 
     A vertex transfer, the step of shrink and balance, is not decomposed
     at all: when `removed` is {uv, uw, ab} and `added` is {vw, ua, ub}, u
@@ -750,8 +729,7 @@ def patch_cactus(
     neighbours, as when a transfer moves neither block in that order,
     _rehung swaps in the new rings, and otherwise _spliced derives it from
     tree.rooted; when block 0 changes, tree.rooted is built from scratch on
-    first read.  A tree whose every node keeps its id and its neighbours
-    also keeps the old tree's blocks_of_cut_vertex, if that was built.
+    first read.
     """
     tree = profile.tree
     rooted = tree.rooted
@@ -763,49 +741,24 @@ def patch_cactus(
     else:
         terminals = [rooted.node[x] for e in (*removed, *added) for x in e]
         top, region = _subtree(rooted, terminals)
-        parent = rooted.parent
-        near: dict[int, list[int]] = {t: [] for t in region}  # neighbours in S
-        for t in region:
-            if t != top:
-                near[t].append(parent[t])
-                near[parent[t]].append(t)
-
-        fixed = set(terminals)
-        free = {
-            t for t, ts in near.items() if t < nblocks and t not in fixed and fixed.isdisjoint(ts)
-        }
-        rims = []  # the rim of each run of free blocks
-        seen = set()
-        for b in sorted(free):
-            if b in seen:
-                continue
-            seen.add(b)
-            rim, stack = [], [b]
-            while stack:
-                for c in near[stack.pop()]:
-                    if not free.issuperset(near[c]):
-                        rim.append(rooted.cuts[c - nblocks])
-                        continue
-                    for y in near[c]:  # c joins its free blocks into the run
-                        if y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-            rims.append(rim)
-
-        gone = sorted(i for i in region if i < nblocks and i not in free)
-        local = _local_blocks(tree, gone, rims, after.n, removed, added)
-        if local is None:  # a star edge lies on a cycle: decompose all of S
-            gone = sorted(i for i in region if i < nblocks)
-            local = _local_blocks(tree, gone, (), after.n, removed, added)
-        verts, new_blocks, cuts = local
+        gone = sorted(i for i in region if i < nblocks)
+        verts, new_blocks, cuts = _local_blocks(tree, gone, removed, added)
         _refuse_non_cactus(new_blocks)
 
-        # a vertex of H' that lies on a block outside S keeps that block, so
-        # it stays a cut vertex
+        # a cut vertex of H keeps its status when it lies on a block outside
+        # S: when its node is outside S or is S's top (a cut node's parent is
+        # a block), or when its children in S hold fewer nodes than all of
+        # its children do
+        parent, sizes, node = rooted.parent, rooted.sizes, rooted.node
+        held = dict.fromkeys((t for t in region if t >= nblocks), 0)
+        for b in gone:
+            if b != top:
+                held[parent[b]] += sizes[b]
         was = tree.cut_vertices.intersection(verts)
-        cuts.update(
-            x for x in was if any(i not in region for i in tree.blocks_of_cut_vertex[x])
-        )
+        for x in was:
+            t = node[x]
+            if t not in region or t == top or held[t] < sizes[t] - 1:
+                cuts.add(x)
         fresh = [(b, tuple(sorted(x for x in b.vertices if x in cuts))) for b in new_blocks]
         cut_set = tree.cut_vertices.difference(verts).union(cuts)
         kept = cuts == was  # no vertex changes its cut status
@@ -827,8 +780,6 @@ def patch_cactus(
     _check_rank(patched)
     # the same tree: every node keeps its id and its neighbours
     same = kept and gone == placed and all(incidence[b] == tree.incidence[b] for b in placed)
-    if same and "blocks_of_cut_vertex" in tree.__dict__:
-        new.__dict__["blocks_of_cut_vertex"] = tree.blocks_of_cut_vertex
     if blocks[0].edges == tree.blocks[0].edges:  # the root keeps its place
         if same:
             new.__dict__["rooted"] = _rehung(rooted, new, placed)
@@ -1136,34 +1087,25 @@ def _reindexed(
     return out
 
 
-def _local_blocks(tree: BlockCutTree, gone, rims, n: int, removed, added):
-    """The real vertices of H' (the edges of the blocks `gone` - removed +
-    added, plus a star from a fresh vertex to each rim in `rims`, whose
-    vertices lie on those blocks), its blocks other than the star edges, in
-    edge order, and its real cut vertices; None if a star edge lies on a
-    cycle.
+def _local_blocks(tree: BlockCutTree, gone, removed, added):
+    """The vertices of H (the edges of the blocks `gone` - removed +
+    added), its blocks, in edge order, and its cut vertices.
 
-    H' keeps the graph's own labels and the edge tuples of the blocks and
+    H keeps the graph's own labels and the edge tuples of the blocks and
     of `added`, so its blocks hold after's own when after is built from
-    them.  The star centres are n, n+1, ..., above every real vertex, so a
-    block holding a vertex >= n is a star block."""
+    them."""
     verts = {x for i in gone for x in tree.blocks[i].vertices}
     incident: dict[int, list[tuple[int, int]]] = {x: [] for x in verts}
     edges = {e for i in gone for e in tree.blocks[i].edges}
     edges.difference_update(removed)
     edges.update(added)
-    for x, rim in enumerate(rims, n):
-        incident[x] = []
-        edges.update((c, x) for c in rim)
     for e in edges:
         u, v = e
         incident[u].append(e)
         incident[v].append(e)
     blocks, cut = _blocks(incident, dict.fromkeys(incident, -1), min(verts))
-    if any(b.kind != BRIDGE for b in blocks if max(b.vertices) >= n):
-        return None
-    fresh = sorted((b for b in blocks if max(b.vertices) < n), key=_edges_of)
-    return verts, fresh, {x for x in cut if x < n}
+    blocks.sort(key=_edges_of)
+    return verts, blocks, cut
 
 
 def is_cactus(g: Graph) -> bool:
@@ -1182,6 +1124,7 @@ def is_cactus_chain(profile: CactusProfile) -> bool:
     if profile.bridges:
         return False
     tree = profile.tree
-    return all(len(cuts) <= 2 for cuts in tree.incidence) and all(
-        len(ids) <= 2 for ids in tree.blocks_of_cut_vertex.values()
-    )
+    # every cut vertex lies on at least two blocks, so on exactly two when
+    # the links between blocks and cut vertices number twice the cut vertices
+    links = sum(map(len, tree.incidence))
+    return all(len(cuts) <= 2 for cuts in tree.incidence) and links == 2 * len(tree.cut_vertices)

@@ -29,8 +29,8 @@ TransformError, so each precondition is stated once, in its move.  It
 validates its input and counts its pn once and passes each step's profile
 and pn on explicitly: each _step derives the profile of the graph it builds
 from the one before with graphs.patch_cactus, which re-decomposes only the
-blocks that the step's edges touch and stands a star in for each connected
-run of untouched blocks between them, and counts the new pn once.  Shrink
+blocks of the smallest subtree of the block-cut tree that holds every
+endpoint of the step's edges, and counts the new pn once.  Shrink
 and balance move one vertex from one cycle to another, and the patch
 decomposes nothing for them: it builds the two new rings and keeps the cut
 set, the incidence and every other block.  The patch carries tree.rooted
@@ -58,13 +58,13 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from itertools import islice
 
 from ._record import Record
 from .counting import cactus_path_count
 from .graphs import (
-    CYCLE,
     CactusProfile,
     Graph,
     RootedBlockCutTree,
@@ -158,14 +158,16 @@ def _bridge_slide(profile: CactusProfile) -> _Move:
     if not profile.bridges:
         raise TransformError("bridge_slide needs a bridge")
     tree = profile.tree
-    candidates: list[tuple[int, int, int]] = []  # (u, v, w)
+    far: dict[int, list[int]] = {}  # each bridge endpoint, to the other ends
     for a, b in profile.bridges:
-        for u, v in ((a, b), (b, a)):
-            # v lies on a cycle as well as on the bridge only as a cut vertex
-            for i in tree.blocks_of_cut_vertex.get(v, ()):
-                blk = tree.blocks[i]
-                if blk.kind == CYCLE:
-                    candidates.extend((u, v, x) for x in _ring_neighbors(blk, v))
+        far.setdefault(a, []).append(b)
+        far.setdefault(b, []).append(a)
+    candidates: list[tuple[int, int, int]] = []  # (u, v, w)
+    for i in profile.cycle_blocks:
+        # v lies on a cycle as well as on a bridge only as a cut vertex
+        for v in tree.incidence[i]:
+            for u in far.get(v, ()):
+                candidates.extend((u, v, x) for x in _ring_neighbors(tree.blocks[i], v))
     if not candidates:
         raise TransformError("no bridge has an endpoint on a cycle")
     u, v, x = min(candidates)
@@ -200,8 +202,11 @@ def _chain_straighten(profile: CactusProfile) -> _Move:
     blocks = tree.blocks
     nblocks = len(blocks)
     cuts = rooted.cuts
+    # a block's neighbours are its cut vertices, a cut node's its children
+    # and its parent
+    children = Counter(rooted.parent)
     degree = [len(c) for c in tree.incidence]
-    degree += [len(tree.blocks_of_cut_vertex[v]) for v in cuts]
+    degree += [children[x] + 1 for x in range(nblocks, nblocks + len(cuts))]
 
     def order(x: int) -> tuple[bool, int]:  # cut vertices first, then blocks
         return (x < nblocks, x)
@@ -250,7 +255,8 @@ def _chain_straighten(profile: CactusProfile) -> _Move:
         u, c_idx = cuts[t - nblocks], tk
     else:
         u = cuts[tk - nblocks]
-        c_idx = min(i for i in tree.blocks_of_cut_vertex[u] if i != t)
+        parent = rooted.parent
+        c_idx = min(x for x in comps[tk] if parent[x] == tk or x == parent[tk])
     v, w = _ring_neighbors(blocks[c_idx], u)
 
     leaf = min(x for x in t1 if degree[x] == 1)  # a cut vertex has degree >= 2
@@ -384,8 +390,8 @@ def _split_interior_triangle(profile: CactusProfile) -> _Move:
     # blocks are those blocks' other vertices
     outside = sorted(
         x
-        for i in tree.blocks_of_cut_vertex[u2]
-        if i != c_idx
+        for i, cuts in enumerate(tree.incidence)
+        if u2 in cuts and i != c_idx
         for x in tree.blocks[i].vertices
         if x != u2
     )

@@ -38,6 +38,15 @@ def complete(n):
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
+def blocks_at(tree):
+    """The ids of the blocks on each cut vertex, read off tree.incidence."""
+    at = {v: [] for v in tree.cut_vertices}
+    for i, cuts in enumerate(tree.incidence):
+        for v in cuts:
+            at[v].append(i)
+    return {v: tuple(ids) for v, ids in at.items()}
+
+
 # ---------------------------------------------------------------- parsing
 
 
@@ -179,7 +188,7 @@ def test_bct_ptc93():
     kinds = [b.kind for b in t.blocks]
     assert kinds.count(CYCLE) == 3 and len(t.cut_vertices) == 2
     # the incidence structure is a path: both cuts lie on exactly two blocks
-    assert sorted(len(ids) for ids in t.blocks_of_cut_vertex.values()) == [2, 2]
+    assert sorted(len(ids) for ids in blocks_at(t).values()) == [2, 2]
 
 
 def test_bct_edge_partition_and_tree_shape():
@@ -197,6 +206,7 @@ def test_bct_edge_partition_and_tree_shape():
         nodes = len(t.blocks) + len(t.cut_vertices)
         links = sum(len(c) for c in t.incidence)
         assert links == nodes - 1 or (nodes <= 1 and links == 0)
+        at = blocks_at(t)
         seen = set()
         stack = [0] if t.blocks else []
         while stack:
@@ -207,7 +217,7 @@ def test_bct_edge_partition_and_tree_shape():
             for v in t.incidence[b]:
                 if ("v", v) not in seen:
                     seen.add(("v", v))
-                    stack.extend(t.blocks_of_cut_vertex[v])
+                    stack.extend(at[v])
         assert len(seen) == nodes
         # cut vertices are exactly the vertices on two or more blocks
         multi = {
@@ -356,13 +366,13 @@ def test_cig_ptc93_is_path():
     assert len(tree.blocks) == 3 and tree.cut_vertices == p.intersection_vertices == {3, 5}
     assert is_cactus_chain(p)
     assert sorted(len(c) for c in tree.incidence) == [1, 1, 2]  # two leaf cycles
-    assert all(len(ids) == 2 for ids in tree.blocks_of_cut_vertex.values())
+    assert all(len(ids) == 2 for ids in blocks_at(tree).values())
 
 
 def test_cig_three_triangles_star():
     p = validate_cactus(pseudo_friendship(7, 3))
     assert p.tree.cut_vertices == {0}
-    assert p.tree.blocks_of_cut_vertex[0] == (0, 1, 2)
+    assert blocks_at(p.tree)[0] == (0, 1, 2)
     assert not is_cactus_chain(p)
 
 
@@ -376,7 +386,7 @@ def test_cig_leaves_are_cycles_census():
                 tree = p.tree
                 assert all(b.kind == CYCLE for b in tree.blocks)
                 assert tree.cut_vertices == p.intersection_vertices
-                assert all(len(ids) >= 2 for ids in tree.blocks_of_cut_vertex.values())
+                assert all(len(ids) >= 2 for ids in blocks_at(tree).values())
 
 
 def test_chain_predicate_matches_path_definition():

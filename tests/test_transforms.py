@@ -88,7 +88,8 @@ def test_chain_straighten_reduces_branching():
     def branch_degree_sum(g):
         tree = validate_cactus(g).tree
         degrees = [len(c) for c in tree.incidence]
-        degrees += [len(ids) for ids in tree.blocks_of_cut_vertex.values()]
+        # the blocks on each cut vertex, read off the incidence
+        degrees += [sum(v in c for c in tree.incidence) for v in tree.cut_vertices]
         return sum(d for d in degrees if d >= 3)
 
     g = pseudo_friendship(9, 4)

@@ -9,8 +9,8 @@ import random
 import pytest
 
 from cactuspaths import graphs, transforms
-from cactuspaths.graphs import BlockCutTree, Graph, patch_cactus, validate_cactus
-from cactuspaths.transforms import TransformError, maximize_to_fixpoint, minimize_to_fixpoint
+from cactuspaths.graphs import Graph, patch_cactus, validate_cactus
+from cactuspaths.transforms import TransformError, maximize_to_fixpoint
 
 from test_pinned_outputs import relabeled_random_cacti
 from test_profile_patch import edit, outcome
@@ -46,8 +46,8 @@ def test_every_transfer_step_patches_what_validation_builds(monkeypatch, walks):
     cacti, on which more steps keep block 0: shrink and balance applied
     alone wherever they fire, and maximize_to_fixpoint run to its end.
     Each shrink or balance step walks no block, and its profile, rooted
-    tree and carried sizes, block_mask and blocks_of_cut_vertex are those
-    of validate_cactus(after)."""
+    tree and carried sizes and block_mask are those of
+    validate_cactus(after)."""
     rule = [None]  # the rule whose move was made last
     for name in transforms._INCREASING:
 
@@ -80,9 +80,6 @@ def test_every_transfer_step_patches_what_validation_builds(monkeypatch, walks):
             assert rooted.sizes == oracle.tree.rooted.sizes
             assert rooted.block_mask == oracle.tree.rooted.block_mask
             hits["ids unchanged" if gone == placed else "an id shifted"] += 1
-        if "blocks_of_cut_vertex" in carried:
-            assert gone == placed
-            assert carried["blocks_of_cut_vertex"] == oracle.tree.blocks_of_cut_vertex
         assert tree.rooted == oracle.tree.rooted
         return patched
 
@@ -168,30 +165,6 @@ def test_a_move_next_to_the_shared_cut_vertex_is_a_transfer(walks):
     assert patched == oracle
     assert patched.tree.rooted == oracle.tree.rooted
     assert sorted(len(b) for b in patched.tree.blocks) == [3, 4]
-
-
-@pytest.mark.parametrize("driver", [maximize_to_fixpoint, minimize_to_fixpoint])
-def test_a_kept_tree_keeps_its_cut_vertex_index(monkeypatch, driver):
-    """Both drivers on the pinned cacti: wherever a step carries the old
-    tree's blocks_of_cut_vertex, it equals the index built from scratch."""
-    build = BlockCutTree.blocks_of_cut_vertex.func
-    carried = 0
-
-    def checked(profile, after, removed, added):
-        nonlocal carried
-        patched = patch_cactus(profile, after, removed, added)
-        tree = patched.tree
-        if "blocks_of_cut_vertex" in tree.__dict__:
-            assert tree.blocks_of_cut_vertex == build(tree)
-            carried += 1
-        return patched
-
-    monkeypatch.setattr(transforms, "patch_cactus", checked)
-    for g in relabeled_random_cacti(77, 20, 60):
-        driver(g)
-    if driver is maximize_to_fixpoint:
-        assert carried  # shrink's steps keep their tree
-
 
 
 def labelled_shrink(profile):
